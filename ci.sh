@@ -40,13 +40,17 @@ if [[ "${PCNN_SANITIZE:-ON}" == "ON" ]]; then
   ctest --test-dir "$BUILD_DIR-asan" -L 'fast|bundle|video|serve' \
     --output-on-failure -j"$(nproc)"
 
-  # ThreadSanitizer tree over the fast + serve labels: the serving layer
-  # hands frames, promises, and ladder state between the admission threads
-  # and the worker, so data races there must fail CI, not surface as
-  # corrupted responses under production load.
+  # ThreadSanitizer tree over the fast + serve + video labels at 4 pool
+  # threads: the serving layer hands frames, promises, and ladder state
+  # between the admission threads and the worker, and the pool hands
+  # chunks of back-to-back jobs between its workers (test_parallel's
+  # alternating-size job loop, in the fast label), so data races there
+  # must fail CI, not surface as corrupted responses under production
+  # load. The thread count is pinned so the pool interleaves on every
+  # host, not only on those that report several cores.
   cmake -B "$BUILD_DIR-tsan" -S . -DPCNN_WERROR=ON -DPCNN_SANITIZE=thread
   cmake --build "$BUILD_DIR-tsan" -j"$(nproc)"
-  ctest --test-dir "$BUILD_DIR-tsan" -L 'fast|serve' \
+  PCNN_NUM_THREADS=4 ctest --test-dir "$BUILD_DIR-tsan" -L 'fast|serve|video' \
     --output-on-failure -j"$(nproc)"
 fi
 
@@ -233,4 +237,4 @@ print(f"serve smoke: {rejected} rejected, {transitions} ladder transitions "
       f"overloaded point shed {overloaded['shed_rate']:.0%}")
 EOF
 
-echo "ci.sh: build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and tsan fast|serve re-runs + obs, stream, prom, flight, bundle, video & serve smoke) passed"
+echo "ci.sh: build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and 4-thread tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video & serve smoke) passed"

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -31,14 +32,26 @@ struct PoolMetrics {
   }
 };
 
+/// Most chunks one job can have: a claim keeps the chunk index in the low
+/// 32 bits of a word (ThreadPool::claim_).
+constexpr long kMaxChunks = 0xffffffffL;
+
 int defaultThreadCount() {
   const unsigned hw = std::thread::hardware_concurrency();
   const int hwThreads = hw > 0 ? static_cast<int>(hw) : 1;
   return env::intValue("PCNN_NUM_THREADS", hwThreads, 1, 1024);
 }
 
-/// A worker pulls chunk indices from the shared job via fetch_add; the
-/// caller participates too, so a pool of size N holds N-1 threads.
+/// A worker claims chunk indices of the shared job; the caller
+/// participates too, so a pool of size N holds N-1 threads.
+///
+/// Every claim is tagged with its job's generation: `claim_` packs the
+/// generation (high 32 bits) and the next unclaimed index (low 32 bits)
+/// into one word that only a compare-exchange advances. A worker still
+/// draining job N holds N's tag, so once job N+1 is published its claims
+/// fail instead of running one of N+1's chunks with N's bounds -- each
+/// chunk of a job runs exactly once, and run() returns only after all of
+/// them have finished.
 class ThreadPool {
  public:
   static ThreadPool& instance() {
@@ -65,24 +78,32 @@ class ThreadPool {
     }
   }
 
+  /// Runs every chunk on the calling thread.
+  template <typename Chunk>
+  static void runInline(long numChunks, const Chunk& chunk) {
+    PoolMetrics& metrics = PoolMetrics::instance();
+    metrics.inlineJobs.add();
+    metrics.chunks.add(numChunks);
+    if (obs::metricsEnabled()) {
+      const double t0 = obs::nowMicros();
+      for (long c = 0; c < numChunks; ++c) chunk(c);
+      const double elapsed = obs::nowMicros() - t0;
+      metrics.jobUs.record(elapsed);
+      metrics.busyUs.add(static_cast<long>(elapsed));
+    } else {
+      for (long c = 0; c < numChunks; ++c) chunk(c);
+    }
+  }
+
   void run(long numChunks, const std::function<void(long)>& chunk) {
     if (numChunks <= 0) return;
-    // Nested parallelFor (a body that itself calls parallelFor) and the
-    // single-threaded configuration both run inline: correct, deterministic
-    // and deadlock-free.
-    if (insideJob_ || numChunks == 1 || workers_.empty()) {
-      PoolMetrics& metrics = PoolMetrics::instance();
-      metrics.inlineJobs.add();
-      metrics.chunks.add(numChunks);
-      if (obs::metricsEnabled()) {
-        const double t0 = obs::nowMicros();
-        for (long c = 0; c < numChunks; ++c) chunk(c);
-        const double elapsed = obs::nowMicros() - t0;
-        metrics.jobUs.record(elapsed);
-        metrics.busyUs.add(static_cast<long>(elapsed));
-      } else {
-        for (long c = 0; c < numChunks; ++c) chunk(c);
-      }
+    // Nested parallelFor (a body that itself calls parallelFor), the
+    // single-threaded configuration, and a second thread calling in while
+    // another thread's job holds the pool all run inline: correct,
+    // deterministic and deadlock-free.
+    std::unique_lock<std::mutex> slot(jobSlot_, std::defer_lock);
+    if (insideJob_ || workers_.empty() || !slot.try_lock()) {
+      runInline(numChunks, chunk);
       return;
     }
     PoolMetrics& metrics = PoolMetrics::instance();
@@ -90,27 +111,21 @@ class ThreadPool {
     metrics.chunks.add(numChunks);
     const bool measure = obs::metricsEnabled();
     const double t0 = measure ? obs::nowMicros() : 0.0;
-    jobStartUs_.store(measure ? static_cast<long>(t0) : -1,
-                      std::memory_order_relaxed);
     PCNN_SPAN_ARG("pool.job", "chunks", numChunks);
     std::exception_ptr firstError;
+    Job job;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      jobChunk_ = &chunk;
-      jobError_ = &firstError;
-      jobSize_.store(numChunks, std::memory_order_relaxed);
+      job = {&chunk, &firstError, ++generation_, numChunks,
+             measure ? static_cast<long>(t0) : -1};
+      job_ = job;
       pending_.store(numChunks, std::memory_order_relaxed);
-      ++generation_;
-      // Release-store last: a worker that claims a chunk index below
-      // numChunks is guaranteed (acquire on the claim) to see every field
-      // written above. A straggler from the previous job reads a counter
-      // value >= the old job size and exits without touching them.
-      nextChunk_.store(0, std::memory_order_release);
+      claim_.store(tagOf(job.generation), std::memory_order_release);
     }
     metrics.queueDepth.set(static_cast<double>(numChunks));
     wake_.notify_all();
     insideJob_ = true;
-    drainChunks();
+    drainChunks(job);
     insideJob_ = false;
     {
       // Wait until every chunk has finished (not merely been claimed).
@@ -118,20 +133,33 @@ class ThreadPool {
       done_.wait(lock, [this] {
         return pending_.load(std::memory_order_acquire) == 0;
       });
-      jobChunk_ = nullptr;
-      jobError_ = nullptr;
     }
     if (measure) metrics.jobUs.record(obs::nowMicros() - t0);
     if (firstError) std::rethrow_exception(firstError);
   }
 
  private:
+  /// A published job, copied by each worker under mutex_ when it wakes.
+  struct Job {
+    const std::function<void(long)>* chunk = nullptr;
+    std::exception_ptr* error = nullptr;
+    std::uint32_t generation = 0;
+    long size = 0;
+    /// Publish time in whole microseconds (-1 = unmeasured).
+    long startUs = -1;
+  };
+
+  static std::uint64_t tagOf(std::uint32_t generation) {
+    return static_cast<std::uint64_t>(generation) << 32;
+  }
+
   static thread_local bool insideJob_;
 
   void workerLoop() {
     insideJob_ = true;  // workers never re-dispatch to the pool
-    std::uint64_t seenGeneration = 0;
+    std::uint32_t seenGeneration = 0;
     while (true) {
+      Job job;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         wake_.wait(lock, [&] {
@@ -139,40 +167,48 @@ class ThreadPool {
         });
         if (stopping_) return;
         seenGeneration = generation_;
+        job = job_;
       }
-      drainChunks();
+      drainChunks(job);
     }
   }
 
-  void drainChunks() {
+  /// Claims and runs chunks of `job` until none is left or a newer job
+  /// has replaced it.
+  void drainChunks(const Job& job) {
+    const std::uint64_t tag = tagOf(job.generation);
+    const auto size = static_cast<std::uint64_t>(job.size);
     bool firstClaim = true;
+    std::uint64_t word = claim_.load(std::memory_order_acquire);
     while (true) {
-      const long c = nextChunk_.fetch_add(1, std::memory_order_acquire);
-      const long size = jobSize_.load(std::memory_order_relaxed);
-      if (c >= size) return;
-      const long unclaimed = size - (c + 1);
+      if ((word & ~kIndexMask) != tag || (word & kIndexMask) >= size) return;
+      if (!claim_.compare_exchange_weak(word, word + 1,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+        continue;  // `word` now holds the current value
+      }
+      const long c = static_cast<long>(word & kIndexMask);
       PoolMetrics::instance().queueDepth.set(
-          static_cast<double>(unclaimed > 0 ? unclaimed : 0));
+          static_cast<double>(job.size - (c + 1)));
       // Queue latency (job publish -> this thread's first claim) and busy
       // time per chunk; both only measured while metrics are on, and the
       // job-start stamp doubles as the job's measurement flag so a toggle
       // mid-job cannot record a nonsense latency.
-      const long jobStart = jobStartUs_.load(std::memory_order_relaxed);
-      const bool measure = jobStart >= 0 && obs::metricsEnabled();
+      const bool measure = job.startUs >= 0 && obs::metricsEnabled();
       double claimUs = 0.0;
       if (measure) {
         claimUs = obs::nowMicros();
         if (firstClaim) {
           PoolMetrics::instance().queueUs.record(
-              claimUs - static_cast<double>(jobStart));
+              claimUs - static_cast<double>(job.startUs));
           firstClaim = false;
         }
       }
       try {
-        (*jobChunk_)(c);
+        (*job.chunk)(c);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (jobError_ && !*jobError_) *jobError_ = std::current_exception();
+        if (!*job.error) *job.error = std::current_exception();
       }
       if (measure) {
         PoolMetrics::instance().busyUs.add(
@@ -183,6 +219,7 @@ class ThreadPool {
         std::lock_guard<std::mutex> lock(mutex_);
         done_.notify_all();
       }
+      word = claim_.load(std::memory_order_acquire);
     }
   }
 
@@ -196,20 +233,20 @@ class ThreadPool {
     workers_.clear();
   }
 
+  static constexpr auto kIndexMask = static_cast<std::uint64_t>(kMaxChunks);
+
+  /// Held by the thread whose job owns the pool.
+  std::mutex jobSlot_;
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
   std::vector<std::thread> workers_;
   bool stopping_ = false;
-  std::uint64_t generation_ = 0;
-
-  const std::function<void(long)>* jobChunk_ = nullptr;
-  std::exception_ptr* jobError_ = nullptr;
-  std::atomic<long> jobSize_{0};
-  std::atomic<long> nextChunk_{0};
+  std::uint32_t generation_ = 0;
+  Job job_;
+  /// Current job's generation (high 32 bits) | next unclaimed chunk.
+  std::atomic<std::uint64_t> claim_{0};
   std::atomic<long> pending_{0};
-  /// Current job's publish time in whole microseconds (-1 = unmeasured).
-  std::atomic<long> jobStartUs_{-1};
 };
 
 thread_local bool ThreadPool::insideJob_ = false;
@@ -224,7 +261,17 @@ void parallelForChunked(long begin, long end, long grain,
                         const std::function<void(long, long)>& body) {
   if (end <= begin) return;
   if (grain < 1) grain = 1;
+  // Widen the grain of a range that would need more than kMaxChunks
+  // chunks (boundaries stay a function of the range and the grain).
+  if ((end - begin - 1) / grain >= kMaxChunks) {
+    grain = (end - begin - 1) / kMaxChunks + 1;
+  }
   const long numChunks = (end - begin + grain - 1) / grain;
+  if (numChunks == 1) {
+    // One chunk never reaches the pool; skip wrapping the body.
+    ThreadPool::runInline(1, [&](long) { body(begin, end); });
+    return;
+  }
   ThreadPool::instance().run(numChunks, [&](long c) {
     const long lo = begin + c * grain;
     const long hi = lo + grain < end ? lo + grain : end;

@@ -17,6 +17,12 @@ namespace pcnn {
 /// first use (falling back to std::thread::hardware_concurrency) and can be
 /// changed at runtime with setThreadCount. A value of 1 disables threading
 /// entirely; every parallelFor then runs inline on the calling thread.
+///
+/// The pool runs one job at a time. A parallelFor issued from inside a
+/// body, or from another thread while a job is in flight, runs inline on
+/// its calling thread; a one-chunk range never touches the pool. A pool
+/// job costs tens of microseconds to dispatch, so callers size their
+/// chunks to carry more work than that.
 
 /// Current pool size (calling threads + workers).
 int threadCount();

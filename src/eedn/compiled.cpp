@@ -109,8 +109,16 @@ std::vector<float> CompiledTrinaryNet::forwardBatch(
   std::vector<float> bufferA(static_cast<std::size_t>(maxWidth_) * count);
   std::vector<float> bufferB(static_cast<std::size_t>(maxWidth_) * count);
 
+  // Every chunk walks the whole weight matrix once, and the row kernels
+  // vectorize over the chunk's columns: a chunk narrower than
+  // kMinChunkColumns costs more in weight walks than it saves, so small
+  // batches run as one inline chunk. Chunks are equal in width, so a
+  // batch a few floors wide splits evenly over the threads.
+  const long chunks = std::max(
+      1L, std::min(count / kMinChunkColumns, count / suggestedGrain(count)));
+  const long grain = (count + chunks - 1) / chunks;
   parallelForChunked(
-      0, count, suggestedGrain(count), [&](long lo64, long hi64) {
+      0, count, grain, [&](long lo64, long hi64) {
         const int lo = static_cast<int>(lo64);
         const int width = static_cast<int>(hi64 - lo64);
         const float* src = input.data();

@@ -37,11 +37,15 @@ class CompiledTrinaryNet {
   /// Evaluates `count` samples. `input` is a feature-major plane of
   /// inputSize() rows by `count` columns (input[i * count + s] = feature i
   /// of sample s); the returned plane has outputSize() rows in the same
-  /// layout. Samples are split over the global thread pool; every sample's
-  /// column is computed independently, so results are thread-count
-  /// invariant.
+  /// layout. Samples are split over the global thread pool in slices of
+  /// at least kMinChunkColumns columns; every sample's column is computed
+  /// independently, so results do not depend on the split or the thread
+  /// count.
   std::vector<float> forwardBatch(const std::vector<float>& input,
                                   int count) const;
+
+  /// Narrowest column slice forwardBatch hands to one pool chunk.
+  static constexpr long kMinChunkColumns = 256;
 
  private:
   /// One trinary bank: `weights` is outputSize x inputSize row-major int8

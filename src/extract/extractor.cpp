@@ -204,46 +204,67 @@ StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
         " does not match image " + std::to_string(image.width()) + "x" +
         std::to_string(image.height()));
   }
-  long recomputed = 0;
+  // Target cells are recomputed from a crop with one cell of context on
+  // every side: the gradient stencil reads one pixel beyond the cell, so
+  // target cells sitting one full cell inside the crop (or on the image
+  // border, where clamping behaves alike) see exactly the pixels the
+  // full-image computation would.
+  auto withContext = [&](const CellRect& r) {
+    return CellRect{std::max(0, r.cx0 - 1), std::max(0, r.cy0 - 1),
+                    std::min(cellsX, r.cx1 + 1), std::min(cellsY, r.cy1 + 1)};
+  };
+  auto area = [](const CellRect& r) {
+    return static_cast<long>(r.cx1 - r.cx0) * (r.cy1 - r.cy0);
+  };
+  std::vector<CellRect> targets;
+  CellRect bounds{cellsX, cellsY, 0, 0};
+  long separateCells = 0;
   for (const CellRect& rect : dirty) {
-    const int cx0 = std::max(0, rect.cx0);
-    const int cy0 = std::max(0, rect.cy0);
-    const int cx1 = std::min(cellsX, rect.cx1);
-    const int cy1 = std::min(cellsY, rect.cy1);
-    if (cx0 >= cx1 || cy0 >= cy1) continue;
-    // One cell of context on every side: the gradient stencil reads one
-    // pixel beyond the cell, so target cells sitting one full cell inside
-    // the crop (or on the image border, where clamping behaves alike) see
-    // exactly the pixels the full-image computation would.
-    const int ecx0 = std::max(0, cx0 - 1);
-    const int ecy0 = std::max(0, cy0 - 1);
-    const int ecx1 = std::min(cellsX, cx1 + 1);
-    const int ecy1 = std::min(cellsY, cy1 + 1);
-    const int px0 = ecx0 * cellSize_;
-    const int py0 = ecy0 * cellSize_;
-    // Extending the crop to the image border when the rect reaches the
-    // last cell column/row keeps border clamping identical to the full
-    // image (partial leftover pixels < cellSize, so the crop's own cell
-    // count is unchanged).
-    const int px1 = ecx1 == cellsX ? image.width() : ecx1 * cellSize_;
-    const int py1 = ecy1 == cellsY ? image.height() : ecy1 * cellSize_;
+    const CellRect t{std::max(0, rect.cx0), std::max(0, rect.cy0),
+                     std::min(cellsX, rect.cx1), std::min(cellsY, rect.cy1)};
+    if (t.cx0 >= t.cx1 || t.cy0 >= t.cy1) continue;
+    targets.push_back(t);
+    separateCells += area(withContext(t));
+    bounds = {std::min(bounds.cx0, t.cx0), std::min(bounds.cy0, t.cy0),
+              std::max(bounds.cx1, t.cx1), std::max(bounds.cy1, t.cy1)};
+  }
+  // One crop per target, or a single crop around all of them when that
+  // costs no more cells: every target still sits one cell inside it.
+  const bool merged = targets.size() > 1 &&
+                      area(withContext(bounds)) <= separateCells;
+  const std::size_t crops = merged ? 1 : targets.size();
+  long recomputed = 0;
+  for (std::size_t k = 0; k < crops; ++k) {
+    const CellRect crop = withContext(merged ? bounds : targets[k]);
+    const int px0 = crop.cx0 * cellSize_;
+    const int py0 = crop.cy0 * cellSize_;
+    // Extending the crop to the image border when it reaches the last
+    // cell column/row keeps border clamping identical to the full image
+    // (partial leftover pixels < cellSize, so the crop's own cell count is
+    // unchanged).
+    const int px1 = crop.cx1 == cellsX ? image.width() : crop.cx1 * cellSize_;
+    const int py1 = crop.cy1 == cellsY ? image.height() : crop.cy1 * cellSize_;
     try {
       const vision::Image region =
           image.crop(px0, py0, px1 - px0, py1 - py0);
       const hog::CellGrid sub = cellGrid(region);
-      if (sub.cellsX != ecx1 - ecx0 || sub.cellsY != ecy1 - ecy0 ||
-          sub.bins != bins_) {
+      if (sub.cellsX != crop.cx1 - crop.cx0 ||
+          sub.cellsY != crop.cy1 - crop.cy0 || sub.bins != bins_) {
         extractFailures().add();
         return Status::Internal("tryUpdateCellGrid(" + name_ +
                                 "): backend produced a mismatched sub-grid");
       }
-      const std::size_t rowBytes =
-          sizeof(float) * static_cast<std::size_t>(cx1 - cx0) * bins_;
-      for (int cy = cy0; cy < cy1; ++cy) {
-        std::memcpy(grid.cell(cx0, cy),
-                    sub.cell(cx0 - ecx0, cy - ecy0), rowBytes);
+      const std::size_t last = merged ? targets.size() : k + 1;
+      for (std::size_t i = merged ? 0 : k; i < last; ++i) {
+        const CellRect& t = targets[i];
+        const std::size_t rowBytes =
+            sizeof(float) * static_cast<std::size_t>(t.cx1 - t.cx0) * bins_;
+        for (int cy = t.cy0; cy < t.cy1; ++cy) {
+          std::memcpy(grid.cell(t.cx0, cy),
+                      sub.cell(t.cx0 - crop.cx0, cy - crop.cy0), rowBytes);
+        }
+        recomputed += area(t);
       }
-      recomputed += static_cast<long>(cx1 - cx0) * (cy1 - cy0);
     } catch (...) {
       extractFailures().add();
       return statusFromException("tryUpdateCellGrid(" + name_ + ")");

@@ -112,14 +112,19 @@ class FeatureExtractor {
   /// valid across frames and only the cells whose pixels changed are
   /// recomputed. Each rect is expanded by one cell of pixel context (the
   /// gradient stencil reads 1 px beyond the cell), the expanded region is
-  /// cropped and run through the backend's own cellGrid, and the interior
-  /// target cells are spliced back. For deterministic backends the
-  /// refreshed cells are bitwise-identical to a full-image cellGrid;
-  /// stochastic backends (the Parrot's coding RNG is consumed in cell
-  /// order) produce valid but differently-coded histograms. `grid` must
-  /// have the exact geometry cellGrid(image) would produce. Returns the
-  /// number of cells recomputed; on failure the grid contents are
-  /// unspecified and the caller should fall back to a full recompute.
+  /// cropped and run through the backend's own (virtual) cellGrid, and
+  /// the interior target cells are spliced back. When the rects' bounding
+  /// box plus its context costs no more cells than the separate crops,
+  /// one crop around all of them is computed instead and every rect is
+  /// spliced out of it. Any crop whose target cells sit one cell inside it
+  /// (or on the image border) sees the pixels the full image does, so for
+  /// deterministic backends the refreshed cells are bitwise-identical to
+  /// a full-image cellGrid either way; stochastic backends (the Parrot's
+  /// coding RNG is consumed in crop cell order) produce valid but
+  /// differently-coded histograms. `grid` must have the exact geometry
+  /// cellGrid(image) would produce. Returns the number of target cells
+  /// refreshed; on failure the grid contents are unspecified and the
+  /// caller should fall back to a full recompute.
   StatusOr<long> tryUpdateCellGrid(const vision::Image& image,
                                    const std::vector<CellRect>& dirty,
                                    hog::CellGrid& grid);

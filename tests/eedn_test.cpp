@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -7,7 +8,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/parallel.hpp"
 #include "eedn/classifier.hpp"
+#include "eedn/compiled.hpp"
 #include "eedn/mapper.hpp"
 #include "eedn/partitioned.hpp"
 #include "eedn/serialize.hpp"
@@ -407,6 +410,45 @@ TEST(Serialize, FileRoundTrip) {
   std::vector<float> x(20, 0.5f);
   EXPECT_EQ(original.forward(x, false), restored.forward(x, false));
   std::remove(path.c_str());
+}
+
+TEST(CompiledTrinaryNet, ForwardBatchIdenticalBelowAndAboveColumnFloor) {
+  // Batches narrower than the column floor run as one chunk; wider ones
+  // split over the pool. Either way every column must equal the layer-wise
+  // forward of its sample, bit for bit, at any thread count.
+  pcnn::Rng rng(21);
+  nn::Sequential net;
+  net.add(std::make_unique<PartitionedDense>(100, 50, 16, rng));
+  net.add(std::make_unique<SpikingThreshold>(32, 3.0f));
+  net.add(std::make_unique<TrinaryDense>(32, 9, rng));
+  const CompiledTrinaryNet compiled(net);
+  const int floor = static_cast<int>(CompiledTrinaryNet::kMinChunkColumns);
+  const int before = pcnn::threadCount();
+  pcnn::Rng dataRng(22);
+  for (int count : {1, 16, floor - 1, floor, 3 * floor + 5}) {
+    std::vector<float> plane(static_cast<std::size_t>(100) * count);
+    for (float& v : plane) v = static_cast<float>(dataRng.uniform()) - 0.5f;
+    std::vector<std::vector<float>> outputs;
+    for (int threads : {1, 4}) {
+      pcnn::setThreadCount(threads);
+      outputs.push_back(compiled.forwardBatch(plane, count));
+    }
+    pcnn::setThreadCount(before);
+    EXPECT_EQ(outputs[0], outputs[1]) << "count " << count;
+    for (int s = 0; s < count; s += std::max(1, count / 7)) {
+      std::vector<float> sample(100);
+      for (int i = 0; i < 100; ++i) {
+        sample[static_cast<std::size_t>(i)] =
+            plane[static_cast<std::size_t>(i) * count + s];
+      }
+      const std::vector<float> expected = net.forward(sample, false);
+      for (int j = 0; j < 9; ++j) {
+        EXPECT_EQ(outputs[1][static_cast<std::size_t>(j) * count + s],
+                  expected[static_cast<std::size_t>(j)])
+            << "count " << count << " sample " << s << " output " << j;
+      }
+    }
+  }
 }
 
 TEST(TnMapper, MappedNetworkMatchesReferenceExactly) {

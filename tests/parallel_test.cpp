@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -79,6 +82,47 @@ TEST(ParallelFor, NestedCallsRunInline) {
     parallelFor(0, 8, [&](long inner) { hits[outer * 8 + inner].fetch_add(1); });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Regression: a worker finishing a chunk of one job used to claim a chunk
+// of the next job against the previous job's size, so back-to-back jobs of
+// different chunk counts ran chunks twice, returned from parallelFor while
+// a chunk was still running, or hung the pool for good.
+TEST(ParallelFor, BackToBackJobsOfAlternatingSizeRunEachChunkOnce) {
+  ThreadCountGuard guard(4);
+  constexpr long kJobs = 100000;
+  constexpr long kMaxChunks = 12;
+  auto loop = [] {
+    std::vector<std::atomic<int>> hits(kMaxChunks);
+    for (auto& h : hits) h.store(0);
+    std::atomic<long> finished{0};
+    long failures = 0;
+    for (long job = 0; job < kJobs && failures < 10; ++job) {
+      const long chunks = job % 2 == 0 ? 2 : kMaxChunks;
+      finished.store(0);
+      parallelFor(0, chunks, [&](long i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+        finished.fetch_add(1);
+      });
+      // Read right after the call: every body must already have finished.
+      bool ok = finished.load() == chunks;
+      for (long i = 0; i < kMaxChunks; ++i) {
+        ok = ok && hits[static_cast<std::size_t>(i)].exchange(0) ==
+                       (i < chunks ? 1 : 0);
+      }
+      if (!ok) ++failures;
+    }
+    return failures;
+  };
+  // A hung pool never returns, so wait with a deadline and abort the test
+  // binary rather than block until the harness timeout.
+  auto result = std::async(std::launch::async, loop);
+  if (result.wait_for(std::chrono::seconds(120)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "parallelFor hung on back-to-back jobs";
+    std::abort();
+  }
+  EXPECT_EQ(result.get(), 0);
 }
 
 TEST(ParallelForChunked, ChunkBoundariesIndependentOfThreadCount) {

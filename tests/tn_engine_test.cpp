@@ -150,6 +150,34 @@ TEST(TnEngineParity, MatchesDenseUnderFaultPlan) {
   }
 }
 
+TEST(TnEngineParity, LargeTicksSplitOverThePoolMatchDense) {
+  // Small ticks run inline; these carry ~2000 deliveries over 256 cores
+  // each, enough work that both engines split them over the pool.
+  auto run = [](EngineKind kind, int threads) {
+    const int before = pcnn::threadCount();
+    pcnn::setThreadCount(threads);
+    Network net(11);
+    buildMixedNetwork(net, 256, 42);
+    Rng rng(43);
+    for (long t = 0; t < 8; ++t) {
+      for (int i = 0; i < 2048; ++i) {
+        net.scheduleInput(t, rng.uniformInt(0, 255), rng.uniformInt(0, 255));
+      }
+    }
+    net.setEngine(kind);
+    const RunResult result = net.run(30);
+    pcnn::setThreadCount(before);
+    return result;
+  };
+  const RunResult dense = run(EngineKind::kDense, 1);
+  ASSERT_GT(dense.totalSpikes, 0);
+  expectBitwiseEqual(dense, run(EngineKind::kEvent, 1));
+  for (int threads : {2, 4}) {
+    expectBitwiseEqual(dense, run(EngineKind::kDense, threads));
+    expectBitwiseEqual(dense, run(EngineKind::kEvent, threads));
+  }
+}
+
 TEST(TnEngineParity, ContinuationAcrossRunsAndReset) {
   for (int threads : {1, 4}) {
     auto runSplit = [threads](EngineKind kind) {

@@ -194,8 +194,11 @@ TEST(VideoPyramid, FullHdGeometryInvariants) {
 
 // ------------------------------------------- incremental grid refresh
 
-/// Mutates a pixel region, then checks tryUpdateCellGrid patches the old
-/// grid into bitwise equality with a fresh full-image grid.
+/// Mutates pixel regions, then checks tryUpdateCellGrid patches the old
+/// grid into bitwise equality with a fresh full-image grid: one scribbled
+/// region, then stacked tile rows (their union crop costs fewer cells than
+/// one crop each, so they share it) and two far-apart patches (cheaper
+/// apart).
 void checkIncrementalParity(const std::string& backend) {
   auto extractor =
       extract::makeExtractor(backend, extract::FeatureLayout::kBlockNorm);
@@ -225,6 +228,34 @@ void checkIncrementalParity(const std::string& backend) {
   const hog::CellGrid full = extractor->cellGrid(after);
   ASSERT_EQ(grid.data.size(), full.data.size());
   EXPECT_EQ(grid.data, full.data) << backend;
+
+  const Image other = SyntheticVideo(smallVideo(2, 18)).frame(0).image;
+  const int cellsX = before.width() / cell;
+  const std::vector<std::vector<extract::CellRect>> cases = {
+      {{0, 4, cellsX, 8}, {0, 8, cellsX, 12}, {0, 12, cellsX / 2, 16}},
+      {{1, 1, 4, 3}, {30, 20, 34, 24}}};
+  for (const auto& rects : cases) {
+    // Copy the other scene into each rect, 1 px inside its border, so
+    // only the rect's own cells see a changed pixel.
+    Image mixed = before;
+    for (const extract::CellRect& rect : rects) {
+      for (int y = rect.cy0 * cell + 1; y < rect.cy1 * cell - 1; ++y) {
+        for (int x = rect.cx0 * cell + 1; x < rect.cx1 * cell - 1; ++x) {
+          mixed.at(x, y) = other.at(x, y);
+        }
+      }
+    }
+    hog::CellGrid patched = extractor->cellGrid(before);
+    StatusOr<long> cells = extractor->tryUpdateCellGrid(mixed, rects, patched);
+    ASSERT_TRUE(cells.ok()) << cells.status().toString();
+    long targetCells = 0;
+    for (const extract::CellRect& rect : rects) {
+      targetCells += static_cast<long>(rect.cx1 - rect.cx0) *
+                     (rect.cy1 - rect.cy0);
+    }
+    EXPECT_EQ(cells.value(), targetCells) << backend;
+    EXPECT_EQ(patched.data, extractor->cellGrid(mixed).data) << backend;
+  }
 }
 
 TEST(IncrementalGrid, HogParity) { checkIncrementalParity("hog"); }
@@ -232,6 +263,9 @@ TEST(IncrementalGrid, FixedpointParity) {
   checkIncrementalParity("fixedpoint");
 }
 TEST(IncrementalGrid, NapproxParity) { checkIncrementalParity("napprox"); }
+TEST(IncrementalGrid, ParrotExactParity) {
+  checkIncrementalParity("parrot:exact");
+}
 
 TEST(IncrementalGrid, UpdateBlocksMatchesPrepareBlocks) {
   auto extractor =
@@ -321,6 +355,36 @@ TEST(DetectBatch, TemporalMatchesFullRecomputeHog) {
 }
 TEST(DetectBatch, TemporalMatchesFullRecomputeFixedpoint) {
   checkTemporalParity("fixedpoint");
+}
+
+// Consecutive frames from different scenes dirty every tile, so each
+// level refreshes through one crop around all of its dirty tile rows.
+// Temporal-on detections must still equal detect() at any thread count.
+TEST(DetectBatch, AllTilesDirtyMatchesDetectAtAnyThreadCount) {
+  std::vector<Image> frames;
+  for (std::uint64_t seed : {41, 42, 43, 44}) {
+    frames.push_back(SyntheticVideo(smallVideo(2, seed)).frame(0).image);
+  }
+  const int restoreThreads = threadCount();
+  for (const char* backend : {"hog", "fixedpoint", "napprox", "parrot:exact"}) {
+    for (int threads : {1, 4}) {
+      setThreadCount(threads);
+      GridDetector temporalDetector = makeDetector(backend, true, false);
+      GridDetector refDetector = makeDetector(backend, true, false);
+      const BatchDetectResult batch = temporalDetector.detectBatch(frames);
+      EXPECT_TRUE(batch.temporalEnabled);
+      ASSERT_EQ(batch.frames.size(), frames.size());
+      for (std::size_t f = 0; f < frames.size(); ++f) {
+        if (f > 0) {
+          EXPECT_FALSE(batch.frames[f].stats.fullRecompute) << backend;
+          EXPECT_EQ(batch.frames[f].stats.tilesReused, 0) << backend;
+        }
+        expectSameDetections(batch.frames[f].detections,
+                             refDetector.detect(frames[f]), backend);
+      }
+    }
+  }
+  setThreadCount(restoreThreads);
 }
 
 TEST(DetectBatch, StaticSceneReusesEverythingAfterFirstFrame) {
