@@ -1,8 +1,8 @@
 // Full-HD video detection benchmark: a synthetic 1920x1080 burst (persons
 // translating over a textured background) run through
 // GridDetector::detectBatch twice per backend --
-//   (a) PCNN_TEMPORAL-off semantics (temporal.enabled = false): every frame
-//       pays the full single-scene detect() path, the bitwise reference;
+//   (a) temporal.enabled = false: every frame runs cold, paying the full
+//       scan detect() runs, the bitwise reference;
 //   (b) the temporal path: persistent per-level grids, dirty-tile
 //       recomputation, cached window scores.
 // Reports per-backend fps for both against the paper's full-HD 26 fps bar

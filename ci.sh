@@ -57,6 +57,11 @@ fi
 # Observability smoke: a traced detection run must produce valid, non-empty
 # Chrome-trace and metrics JSON with the spans/counters the layer promises,
 # and a run without the env vars must produce no report files at all.
+# detect() and detectBatch run one scan, so both traces (this detect() run
+# and the bench_video run below) must carry the same scan span schema. The
+# example trains on flat-cell features, which have no block grid, so
+# detect.blockGrid is required only of the block-norm bench_video trace.
+export SCAN_SPANS="detect.pyramid detect.level detect.cellGrid detect.scan detect.nms"
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
 PD_BIN="$(cd "$BUILD_DIR" && pwd)/examples/pedestrian_detection"
@@ -64,11 +69,11 @@ PR_BIN="$(cd "$BUILD_DIR" && pwd)/examples/power_report"
 PCNN_TRACE="$OBS_DIR/trace.json" PCNN_METRICS="$OBS_DIR/metrics.json" \
   "$PD_BIN" 1 7 hog >/dev/null
 python3 - "$OBS_DIR/trace.json" "$OBS_DIR/metrics.json" <<'EOF'
-import json, sys
+import json, os, sys
 trace = json.load(open(sys.argv[1]))
 events = {e["name"] for e in trace["traceEvents"]}
 assert trace["traceEvents"], "trace has no events"
-for name in ("detect.pyramid", "detect.cellGrid", "detect.scan"):
+for name in ("detect.scene", *os.environ["SCAN_SPANS"].split()):
     assert name in events, f"missing span {name}: {sorted(events)}"
 metrics = json.load(open(sys.argv[2]))
 assert metrics["counters"].get("windows_scanned", 0) > 0, metrics["counters"]
@@ -180,19 +185,20 @@ PCNN_BUNDLE="$BUNDLE" "$PD_BIN" 1 7 >/dev/null
 echo "bundle smoke: pack + verify + bundle-loaded detection passed"
 
 # Video smoke: bench_video on a tiny burst (8 frames at 320x240) must emit
-# per-frame detect.frame spans and actually reuse tiles (nonzero
-# detect.tiles_reused counter) -- the temporal path working end to end, not
-# just compiling.
+# per-frame detect.frame spans over the same scan spans as the detect()
+# smoke above, and actually reuse tiles (nonzero detect.tiles_reused
+# counter) -- the temporal path working end to end, not just compiling.
 BV_BIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_video"
 PCNN_TRACE="$OBS_DIR/video_trace.json" \
   PCNN_METRICS="$OBS_DIR/video_metrics.json" \
   "$BV_BIN" "$OBS_DIR/video_bench.json" 8 320 240 1 >/dev/null
 python3 - "$OBS_DIR/video_trace.json" "$OBS_DIR/video_metrics.json" \
   "$OBS_DIR/video_bench.json" <<'EOF'
-import json, sys
+import json, os, sys
 trace = json.load(open(sys.argv[1]))
 events = {e["name"] for e in trace["traceEvents"]}
-for name in ("detect.batch", "detect.frame", "detect.level"):
+for name in ("detect.batch", "detect.frame", "detect.blockGrid",
+             *os.environ["SCAN_SPANS"].split()):
     assert name in events, f"missing span {name}: {sorted(events)}"
 counters = json.load(open(sys.argv[2]))["counters"]
 assert counters.get("detect.frames", 0) > 0, counters

@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
     }
     core::GridDetector detector(dp, std::make_shared<FlakyExtractor>(110),
                                 [](const std::vector<float>&) { return 1.0f; });
-    detDetections = detector.detect(scene, -1e9f, &detReport).size();
+    detDetections = detector.detect(scene, {}, &detReport).size();
   }
   std::printf("\ndegraded detection: %s (%zu detections from surviving "
               "levels)\n",

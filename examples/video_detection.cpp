@@ -54,8 +54,6 @@ int main(int argc, char** argv) {
               height, numFrames, persons);
   const core::BatchDetectResult batch = detector.detectBatch(
       numFrames, [&video](int f) { return video.frame(f).image; });
-  std::printf("temporal reuse: %s\n",
-              batch.temporalEnabled ? "on" : "off (PCNN_TEMPORAL)");
 
   for (std::size_t f = 0; f < batch.frames.size(); ++f) {
     const core::FrameResult& frame = batch.frames[f];

@@ -2,7 +2,7 @@
 
 // Single home for PCNN_* environment-variable parsing. Every runtime knob
 // (PCNN_SIMD, PCNN_TRACE, PCNN_METRICS, PCNN_FAULTS, PCNN_TN_ENGINE,
-// PCNN_BUNDLE, PCNN_NUM_THREADS, PCNN_TEMPORAL, ...) reads through these
+// PCNN_BUNDLE, PCNN_NUM_THREADS, ...) reads through these
 // typed getters instead of hand-rolling getenv + strtol + tolower at its
 // call site, so malformed values produce one consistent stderr diagnostic
 // (once per variable) and fall back to the documented default instead of

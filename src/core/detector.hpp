@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/degradation.hpp"
@@ -17,20 +18,15 @@ namespace pcnn::core {
 /// Scores a window feature vector; higher = more person-like.
 using WindowScorer = std::function<float(const std::vector<float>&)>;
 
-/// Cross-frame reuse knobs for GridDetector::detectBatch. The env var
-/// PCNN_TEMPORAL (off/0/false) overrides `enabled` and `smooth` at run
-/// time, forcing the bitwise-reference per-frame path.
+/// Cross-frame reuse knobs for GridDetector::detectBatch.
 struct TemporalParams {
   /// Keep per-level cell/block/score grids alive across frames and only
-  /// recompute the tiles whose pixels changed. Off: every frame runs the
-  /// exact single-scene detect() path.
+  /// recompute the tiles whose pixels changed. Off: every frame runs cold
+  /// on a fresh level cache -- exactly what detect() runs per scene.
   bool enabled = true;
-  /// EMA box smoothing across the burst (TemporalSmoother).
+  /// EMA box smoothing across the burst (TemporalSmoother; only with
+  /// `enabled`).
   bool smooth = true;
-  /// Dirty-tracking tile edge in cells (tileCells * cellSize pixels).
-  int tileCells = 4;
-  float smoothingAlpha = 0.6f;  ///< EMA weight of the newest frame's box
-  float matchIou = 0.4f;        ///< det-to-track association threshold
 };
 
 /// Multi-scale sliding-window detector over cell grids.
@@ -41,22 +37,19 @@ struct GridDetectorParams {
   float scoreThreshold = 0.0f;  ///< keep windows scoring at least this
   float nmsEpsilon = 0.2f;      ///< the paper's NMS epsilon
   vision::PyramidParams pyramid;  ///< 1.1x scale steps by default
-  /// Scan window rows on the global thread pool (PCNN_NUM_THREADS). The
-  /// extractor's windowFromGrid / windowFromBlocks and the scorer are then
-  /// called concurrently and must be re-entrant for concurrent reads --
-  /// true of FeatureExtractor, LinearSvm::decision and
-  /// EednClassifier::score (inference is read-only). Detections are
-  /// emitted in the same row-major order as the sequential scan, so
-  /// results are identical for any thread count.
-  bool parallelScan = true;
   TemporalParams temporal;  ///< detectBatch cross-frame reuse knobs
 };
 
-/// Per-call scan controls for deliberate quality shedding and deadline
-/// abandonment -- the knobs serve::DetectionService turns under overload.
-/// Default-constructed options change nothing: the scan is bitwise
-/// identical to the plain detect()/detectBatch() overloads.
+/// Per-call scan controls: an operating-point override for evaluation
+/// sweeps, plus deliberate quality shedding and deadline abandonment --
+/// the knobs serve::DetectionService turns under overload.
+/// Default-constructed options change nothing: the scan uses the
+/// detector's params and every pyramid level.
 struct DetectOptions {
+  /// Keep windows scoring at least this instead of params.scoreThreshold,
+  /// so a sweep can vary the operating point without rebuilding the
+  /// detector.
+  std::optional<float> scoreThreshold;
   /// Skip the N finest (largest, most expensive) pyramid levels. Each
   /// skipped level is recorded in the DegradationReport as a LevelSkip
   /// with StatusCode::kUnavailable, so shed quality is attributed rather
@@ -80,11 +73,10 @@ struct BatchOptions {
   std::vector<double> deadlineUs;
 };
 
-/// What one frame of a detectBatch burst cost, at tile and window
-/// granularity. Tiles are (temporal.tileCells)^2-cell squares of each
-/// pyramid level's cell grid; a frame that could not reuse anything (cold
-/// cache, PCNN_TEMPORAL=off, a level invalidated by an extraction
-/// failure) reports fullRecompute.
+/// What one frame cost, at tile and window granularity. Tiles are 4x4-cell
+/// squares of each pyramid level's cell grid; a frame that could not reuse
+/// anything (cold cache, temporal.enabled = false, a level invalidated by
+/// an extraction failure) reports fullRecompute.
 struct FrameStats {
   long tilesReused = 0;
   long tilesRecomputed = 0;
@@ -103,7 +95,6 @@ struct FrameResult {
 /// detectBatch output: per-frame results in frame order.
 struct BatchDetectResult {
   std::vector<FrameResult> frames;
-  bool temporalEnabled = false;  ///< params AND env agreed to reuse
 };
 
 class GridDetector {
@@ -121,93 +112,83 @@ class GridDetector {
   ~GridDetector();  // out of line: the temporal cache is an opaque type
 
   /// Scans all pyramid levels with a one-cell stride, scores every window,
-  /// keeps those above threshold, and applies NMS. Boxes are in original
-  /// scene coordinates.
-  std::vector<vision::Detection> detect(const vision::Image& scene) const;
+  /// keeps those at or above the threshold, and applies NMS. Boxes are in
+  /// original scene coordinates. The scene runs as one cold frame of the
+  /// detectBatch scan on a throwaway level cache, so detect() and
+  /// detectBatch share one pipeline and one set of spans and counters.
+  ///
+  /// Window rows are scored on the global thread pool (PCNN_NUM_THREADS);
+  /// the extractor's windowFromGrid / windowFromBlocks and the scorer are
+  /// then called concurrently and must be re-entrant for concurrent reads
+  /// -- true of FeatureExtractor, LinearSvm::decision and
+  /// EednClassifier::score. Detections are emitted in row-major level
+  /// order, so results are identical for any thread count.
+  ///
+  /// `options` may override the threshold, shed the finest levels, or
+  /// cancel the remaining ones (each recorded in `report` as a LevelSkip,
+  /// kUnavailable / kDeadlineExceeded). When `report` is non-null it is
+  /// also filled with what the scan had to give up: a pyramid level whose
+  /// grid the extractor cannot produce is skipped (emitting a
+  /// "detect.level.degraded" span and counter) instead of aborting the
+  /// scene, individual windows whose feature assembly or scoring throws
+  /// are dropped, and simulator fault activity during the call is
+  /// attributed.
+  std::vector<vision::Detection> detect(
+      const vision::Image& scene, const DetectOptions& options = {},
+      DegradationReport* report = nullptr) const;
 
-  /// Same with a score-threshold override, so evaluation sweeps can vary
-  /// the operating point without rebuilding the detector.
-  std::vector<vision::Detection> detect(const vision::Image& scene,
-                                        float scoreThreshold) const;
-
-  /// Same, additionally filling `report` with what the scan had to give
-  /// up: a pyramid level whose grid the extractor cannot produce is
-  /// skipped (emitting a "detect.level.degraded" span and counter) instead
-  /// of aborting the scene, individual windows whose feature assembly or
-  /// scoring throws are dropped, and simulator fault activity during the
-  /// call is attributed. `report` may be null.
-  std::vector<vision::Detection> detect(const vision::Image& scene,
-                                        float scoreThreshold,
-                                        DegradationReport* report) const;
-
-  /// Same, additionally honoring per-call shed/deadline controls: the
-  /// options' skipped and abandoned levels join `report` as LevelSkips
-  /// (kUnavailable / kDeadlineExceeded). Default options reproduce the
-  /// three-argument overload bitwise.
-  std::vector<vision::Detection> detect(const vision::Image& scene,
-                                        float scoreThreshold,
-                                        DegradationReport* report,
-                                        const DetectOptions& options) const;
+  /// detect() without NMS (for threshold sweeps in the evaluation).
+  std::vector<vision::Detection> detectRaw(
+      const vision::Image& scene, const DetectOptions& options = {},
+      DegradationReport* report = nullptr) const;
 
   /// Produces the frames of a video burst lazily (frame index -> image),
   /// so a full-HD burst never has to be resident all at once.
   using FrameProvider = std::function<vision::Image(int)>;
 
-  /// Runs a burst of same-sized frames through shared pyramid/scan
-  /// machinery. Every frame emits a "detect.frame" span (frame-index
-  /// argument) with "detect.level" spans nested under it exactly like the
-  /// single-scene path, inside one enclosing "detect.batch" span.
+  /// Runs a burst of same-sized frames through the same scan as detect().
+  /// Every frame emits a "detect.frame" span (frame-index argument) with
+  /// the "detect.level" spans nested under it, inside one enclosing
+  /// "detect.batch" span.
   ///
-  /// With params.temporal.enabled (and PCNN_TEMPORAL not off), per-level
-  /// cell grids, block grids, and window scores persist across frames --
-  /// and across detectBatch calls, until resetTemporalCache() or a frame
-  /// of different dimensions arrives. Only tiles whose pixels changed
-  /// since the previous frame recompute their cell histograms, affected
-  /// block normalizations, and window scores ("detect.tiles_reused" /
-  /// "detect.tiles_recomputed" counters); whole-frame recompute remains
-  /// the always-available fallback (a level whose incremental update
-  /// fails is invalidated, degrades the frame, and is rebuilt from
-  /// scratch on the next one). For deterministic backends the reused scan
-  /// is bitwise-identical to per-frame detect(); the Parrot's stochastic
-  /// coding stream is consumed in a different order on the incremental
-  /// path, so its detections are equally valid draws but not bitwise
-  /// reproductions (DESIGN.md Section 5g).
+  /// With params.temporal.enabled, per-level cell grids, block grids, and
+  /// window scores persist across frames -- and across detectBatch calls,
+  /// until resetTemporalCache() or a frame of different dimensions
+  /// arrives. Only tiles whose pixels changed since the previous frame
+  /// recompute their cell histograms, affected block normalizations, and
+  /// window scores ("detect.tiles_reused" / "detect.tiles_recomputed"
+  /// counters); whole-frame recompute remains the always-available
+  /// fallback (a level whose incremental update fails is invalidated,
+  /// degrades the frame, and is rebuilt from scratch on the next one). For
+  /// deterministic backends the reused scan is bitwise-identical to
+  /// per-frame detect(); the Parrot's stochastic coding stream is consumed
+  /// in a different order on the incremental path, so its detections are
+  /// equally valid draws but not bitwise reproductions (DESIGN.md Section
+  /// 5g).
   ///
-  /// With PCNN_TEMPORAL=off (or temporal.enabled=false) each frame runs
-  /// the exact single-scene detect() path -- bitwise-identical detections
-  /// at any thread count, no smoothing.
-  BatchDetectResult detectBatch(const std::vector<vision::Image>& frames);
-  BatchDetectResult detectBatch(int numFrames, const FrameProvider& frames);
-
-  /// Same, additionally honoring per-burst shed/deadline controls and --
-  /// when `reports` is non-null -- filling one DegradationReport per frame
-  /// (shed levels as kUnavailable, deadline-abandoned levels as
-  /// kDeadlineExceeded, plus fault attribution). A level skipped on the
-  /// temporal path is invalidated so it rebuilds from the live frame when
-  /// the ladder re-enables it. Default options with a null `reports`
-  /// reproduce the plain overloads bitwise.
-  BatchDetectResult detectBatch(int numFrames, const FrameProvider& frames,
-                                const BatchOptions& options,
-                                std::vector<DegradationReport>* reports);
-  BatchDetectResult detectBatch(const std::vector<vision::Image>& frames,
-                                const BatchOptions& options,
-                                std::vector<DegradationReport>* reports);
+  /// With temporal.enabled = false every frame runs cold on a fresh level
+  /// cache -- bitwise-identical to per-frame detect() at any thread count
+  /// and for every backend, with no smoothing.
+  ///
+  /// `options.detect` applies to every frame; `options.deadlineUs` gives
+  /// per-frame deadlines. When `reports` is non-null it receives one
+  /// DegradationReport per frame (shed levels as kUnavailable,
+  /// deadline-abandoned levels as kDeadlineExceeded, plus failures and
+  /// fault attribution as in detect()). A level skipped on the temporal
+  /// path is invalidated so it rebuilds from the live frame when the
+  /// ladder re-enables it.
+  BatchDetectResult detectBatch(
+      const std::vector<vision::Image>& frames,
+      const BatchOptions& options = {},
+      std::vector<DegradationReport>* reports = nullptr);
+  BatchDetectResult detectBatch(
+      int numFrames, const FrameProvider& frames,
+      const BatchOptions& options = {},
+      std::vector<DegradationReport>* reports = nullptr);
 
   /// Drops the persistent per-level grids and smoother tracks; the next
   /// frame recomputes everything (use between unrelated bursts).
   void resetTemporalCache();
-
-  /// Same but without NMS (for threshold sweeps in the evaluation).
-  std::vector<vision::Detection> detectRaw(const vision::Image& scene) const;
-  std::vector<vision::Detection> detectRaw(const vision::Image& scene,
-                                           float scoreThreshold) const;
-  std::vector<vision::Detection> detectRaw(const vision::Image& scene,
-                                           float scoreThreshold,
-                                           DegradationReport* report) const;
-  std::vector<vision::Detection> detectRaw(const vision::Image& scene,
-                                           float scoreThreshold,
-                                           DegradationReport* report,
-                                           const DetectOptions& options) const;
 
   const GridDetectorParams& params() const { return params_; }
 
@@ -228,13 +209,17 @@ class GridDetector {
   /// the per-level hot path never touches the metrics registry lock.
   obs::LatencyHistogram& cellGridUs() const { return *cellGridUs_; }
 
-  /// One frame of the temporal path: reuse what the cache allows, refresh
-  /// the rest, leave the cache describing this frame. `deadlineUs` <= 0
-  /// means no deadline; `report` may be null.
-  std::vector<vision::Detection> detectFrameTemporal(
-      const vision::Image& frame, FrameStats& stats,
-      const DetectOptions& options, double deadlineUs,
-      DegradationReport* report);
+  /// The one per-level scan: brings `cache` up to date with `frame` --
+  /// reusing what it allows, recomputing the rest, fully on a cold cache
+  /// -- and returns the pre-NMS detections scoring at least `threshold`.
+  /// `deadlineUs` <= 0 means no deadline; `report` may be null.
+  std::vector<vision::Detection> scanFrame(const vision::Image& frame,
+                                           TemporalCache& cache,
+                                           float threshold,
+                                           const DetectOptions& options,
+                                           double deadlineUs,
+                                           FrameStats& stats,
+                                           DegradationReport* report) const;
 
   GridDetectorParams params_;
   std::shared_ptr<extract::FeatureExtractor> featureExtractor_;

@@ -1,12 +1,14 @@
-// GridDetector::detectBatch -- the video-rate detection path. A burst of
-// same-sized frames shares the pyramid geometry and, when temporal reuse
-// is on, persistent per-level cell grids, block grids, and window scores:
-// each frame diffs against the previous one at tile granularity and only
+// GridDetector's one scan. scanFrame brings a per-level cache -- resized
+// level images, cell grids, normalized block grids, window scores -- up to
+// date with a frame and emits its pre-NMS detections. detectRaw() (and so
+// detect()) runs one cold frame on a throwaway cache, computing every level
+// in full. detectBatch() runs a burst on the detector-owned cache: each
+// warm frame diffs against the previous one at tile granularity and only
 // the dirty tiles recompute their cell histograms, affected block
-// normalizations, and window scores. The reference per-frame path
-// (PCNN_TEMPORAL=off) stays bitwise-identical to detect().
+// normalizations, and window scores. With temporal reuse off, every batch
+// frame runs cold exactly like detect().
 //
-// Why the reused scan matches the full scan bitwise (deterministic
+// Why the reused scan matches a cold scan bitwise (deterministic
 // backends; see DESIGN.md Section 5g for the full argument):
 //  - resizeBilinearInto refreshes level pixels with the exact per-pixel
 //    arithmetic of resizeBilinear, and pixels outside every refreshed
@@ -21,7 +23,7 @@
 //    covering a dirty cell is rescored (clean windows keep the cached
 //    score the full scan would recompute to the same bits);
 //  - detections are emitted from the score grid in the same row-major
-//    level order as the sequential scan, so NMS sees an identical input.
+//    level order on every frame, so NMS sees an identical input.
 
 #include "core/detector.hpp"
 
@@ -30,7 +32,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "core/temporal.hpp"
 #include "obs/flight.hpp"
@@ -40,32 +41,41 @@ namespace pcnn::core {
 
 namespace {
 
-/// Batch-stage instruments shared by every detector instance.
-struct BatchMetrics {
-  obs::Counter& frames = obs::counter("detect.frames");
+/// Scan instruments shared by every detector instance.
+struct ScanMetrics {
+  obs::Counter& scenes = obs::counter("detect.scenes");  ///< detectRaw calls
+  obs::Counter& frames = obs::counter("detect.frames");  ///< batch frames
+  obs::Counter& pyramidLevels = obs::counter("pyramid_levels");
+  /// Windows scored from a level's cell/block grid. Every one slices the
+  /// level's single grid instead of recomputing its cells, so each is also
+  /// one grid-cache hit.
+  obs::Counter& windowsScanned = obs::counter("windows_scanned");
+  obs::Counter& gridCacheHits = obs::counter("grid_cache_hits");
   obs::Counter& tilesReused = obs::counter("detect.tiles_reused");
   obs::Counter& tilesRecomputed = obs::counter("detect.tiles_recomputed");
   obs::Counter& windowsRescored = obs::counter("detect.windows_rescored");
   obs::Counter& windowsReused = obs::counter("detect.windows_reused");
   obs::Counter& levelsDegraded = obs::counter("detect.level.degraded");
   obs::Counter& windowsLost = obs::counter("detect.windows_lost");
-  /// Deliberate quality loss (shed / deadline-abandoned levels), kept
-  /// separate from failure-driven degradation. Shared names with the
-  /// single-scene path in detector.cpp (the registry hands back the same
-  /// counters).
+  /// Levels deliberately shed (DetectOptions::skipFinestLevels) and levels
+  /// abandoned by a deadline/cancel hook -- deliberate quality loss, kept
+  /// separate from the failure-driven detect.level.degraded counter.
   obs::Counter& levelsShed = obs::counter("detect.level.shed");
   obs::Counter& levelsExpired = obs::counter("detect.level.deadline");
   /// Fraction of tiles served from the temporal cache on the most recent
-  /// frame, and the most recent frame's instantaneous rate; both are
+  /// batch frame, and that frame's instantaneous rate; both are
   /// live-telemetry signals for the streaming exporter.
   obs::Gauge& tileHitRate = obs::gauge("detect.tile_hit_rate");
   obs::Gauge& frameFps = obs::gauge("detect.frame_fps");
   obs::LatencyHistogram& frameUs = obs::histogram("detect.frame_us");
-  static BatchMetrics& instance() {
-    static BatchMetrics m;
+  static ScanMetrics& instance() {
+    static ScanMetrics m;
     return m;
   }
 };
+
+/// Dirty-tracking tile edge in cells (kTileCells * cellSize pixels).
+constexpr int kTileCells = 4;
 
 constexpr float kLostScore = -std::numeric_limits<float>::infinity();
 
@@ -78,12 +88,10 @@ struct PxRect {
 
 }  // namespace
 
-/// Everything detectBatch keeps alive between frames. One per detector;
-/// sized by the first frame's pyramid.
+/// The scan's per-level state, sized by the first frame's pyramid.
+/// detectBatch keeps the detector's cache alive between frames; detect()
+/// and reuse-off batch frames scan a throwaway one.
 struct GridDetector::TemporalCache {
-  explicit TemporalCache(const TemporalSmootherParams& smootherParams)
-      : smoother(smootherParams) {}
-
   struct Level {
     vision::Image image;     ///< the level's (resized) pixels
     float scale = 1.0f;      ///< level-to-scene coordinate scale
@@ -112,42 +120,43 @@ void GridDetector::resetTemporalCache() { temporal_.reset(); }
 
 namespace {
 
-/// Scans every window of a level into `scores` (parallel rows, each row a
-/// disjoint slice -- deterministic for any thread count). Windows whose
-/// feature assembly or scoring throws keep kLostScore and are tallied.
-void scoreAllWindows(const extract::FeatureExtractor& extractor,
-                     const WindowScorer& scorer, bool blockPath,
-                     const hog::CellGrid& grid, const hog::BlockGrid& blocks,
-                     auto& lc,
-                     bool parallelScan, long& windowsLost) {
-  lc.scores.assign(static_cast<std::size_t>(lc.spanX) * lc.spanY,
-                   kLostScore);
+/// Scores the level's windows that `selected(wx, wy)` picks into
+/// lc.scores (parallel rows, each row a disjoint slice -- deterministic for
+/// any thread count). A window whose feature assembly or scoring throws
+/// gets kLostScore and is tallied in `lost`; `scored` counts the picked
+/// windows.
+void scoreWindows(const extract::FeatureExtractor& extractor,
+                  const WindowScorer& scorer, bool blockPath, auto& lc,
+                  const auto& selected, long& scored, long& lost) {
+  std::vector<long> rowScored(static_cast<std::size_t>(lc.spanY), 0);
   std::vector<long> rowLost(static_cast<std::size_t>(lc.spanY), 0);
-  auto scanRow = [&](long wy) {
+  parallelFor(0, lc.spanY, [&](long wy) {
     float* row = lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
     for (int wx = 0; wx < lc.spanX; ++wx) {
+      if (!selected(wx, static_cast<int>(wy))) continue;
+      ++rowScored[static_cast<std::size_t>(wy)];
       try {
         const std::vector<float> features =
-            blockPath
-                ? extractor.windowFromBlocks(blocks, wx, static_cast<int>(wy))
-                : extractor.windowFromGrid(grid, wx, static_cast<int>(wy));
+            blockPath ? extractor.windowFromBlocks(lc.blocks, wx,
+                                                   static_cast<int>(wy))
+                      : extractor.windowFromGrid(lc.grid, wx,
+                                                 static_cast<int>(wy));
         row[wx] = scorer(features);
       } catch (const std::exception&) {
+        // One window's feature assembly or scoring failing loses that
+        // window only; the rest of the row keeps scanning.
+        row[wx] = kLostScore;
         ++rowLost[static_cast<std::size_t>(wy)];
       }
     }
-  };
-  if (parallelScan) {
-    parallelFor(0, lc.spanY, scanRow);
-  } else {
-    for (int wy = 0; wy < lc.spanY; ++wy) scanRow(wy);
-  }
-  for (long lost : rowLost) windowsLost += lost;
+  });
+  for (long n : rowScored) scored += n;
+  for (long n : rowLost) lost += n;
 }
 
-/// Appends the level's above-threshold windows in row-major order --
-/// the same order the sequential scan emits, which is what keeps the NMS
-/// input identical between the cached and full paths.
+/// Appends the level's windows scoring at least `threshold` in row-major
+/// order -- the same order on cold and warm frames, which is what keeps the
+/// NMS input identical between the cached and full paths.
 void emitLevelDetections(const auto& lc,
                          const GridDetectorParams& params, float threshold,
                          std::vector<vision::Detection>& out) {
@@ -265,9 +274,17 @@ PxRect mapRectToLevel(const PxRect& r, const vision::Image& scene,
 
 }  // namespace
 
-BatchDetectResult GridDetector::detectBatch(
-    const std::vector<vision::Image>& frames) {
-  return detectBatch(frames, BatchOptions{}, nullptr);
+
+std::vector<vision::Detection> GridDetector::detectRaw(
+    const vision::Image& scene, const DetectOptions& options,
+    DegradationReport* report) const {
+  PCNN_SPAN("detect.scene");
+  ScanMetrics::instance().scenes.add();
+  TemporalCache cache;  // cold: every level computes in full
+  FrameStats stats;
+  return scanFrame(scene, cache,
+                   options.scoreThreshold.value_or(params_.scoreThreshold),
+                   options, 0.0, stats, report);
 }
 
 BatchDetectResult GridDetector::detectBatch(
@@ -280,33 +297,22 @@ BatchDetectResult GridDetector::detectBatch(
                      options, reports);
 }
 
-BatchDetectResult GridDetector::detectBatch(int numFrames,
-                                            const FrameProvider& frames) {
-  return detectBatch(numFrames, frames, BatchOptions{}, nullptr);
-}
-
 BatchDetectResult GridDetector::detectBatch(
     int numFrames, const FrameProvider& frames, const BatchOptions& options,
     std::vector<DegradationReport>* reports) {
   PCNN_SPAN_ARG("detect.batch", "frames", numFrames);
-  BatchMetrics& metrics = BatchMetrics::instance();
-  const bool temporalOn =
-      params_.temporal.enabled && env::flag("PCNN_TEMPORAL", true);
-  const bool smoothOn = temporalOn && params_.temporal.smooth;
+  ScanMetrics& metrics = ScanMetrics::instance();
+  const bool temporalOn = params_.temporal.enabled;
+  const float threshold =
+      options.detect.scoreThreshold.value_or(params_.scoreThreshold);
   BatchDetectResult result;
-  result.temporalEnabled = temporalOn;
   result.frames.reserve(static_cast<std::size_t>(numFrames > 0 ? numFrames
                                                                : 0));
   if (reports != nullptr) {
     reports->assign(static_cast<std::size_t>(numFrames > 0 ? numFrames : 0),
                     DegradationReport{});
   }
-  if (!temporal_) {
-    TemporalSmootherParams sp;
-    sp.alpha = params_.temporal.smoothingAlpha;
-    sp.matchIou = params_.temporal.matchIou;
-    temporal_.reset(new TemporalCache(sp));
-  }
+  if (temporalOn && !temporal_) temporal_.reset(new TemporalCache);
   for (int f = 0; f < numFrames; ++f) {
     const vision::Image frame = frames(f);
     PCNN_SPAN_ARG("detect.frame", "frame", f);
@@ -320,39 +326,18 @@ BatchDetectResult GridDetector::detectBatch(
         static_cast<std::size_t>(f) < options.deadlineUs.size()
             ? options.deadlineUs[static_cast<std::size_t>(f)]
             : 0.0;
+    TemporalCache coldCache;  // reuse off: every frame runs like detect()
+    TemporalCache& cache = temporalOn ? *temporal_ : coldCache;
     FrameResult fr;
-    if (!temporalOn) {
-      // The reference path: exactly the single-scene pipeline per frame
-      // (bitwise-identical detections at any thread count, no smoothing).
-      fr.stats.fullRecompute = true;
-      DetectOptions frameOptions = options.detect;
-      if (deadlineUs > 0.0) {
-        // Fold the frame's absolute deadline into the cancel hook, which
-        // detectRaw polls between pyramid levels.
-        std::function<bool()> userCancel = frameOptions.cancel;
-        frameOptions.cancel = [userCancel, deadlineUs]() {
-          return (userCancel && userCancel()) ||
-                 obs::nowMicros() > deadlineUs;
-        };
-      }
+    std::vector<vision::Detection> raw = scanFrame(
+        frame, cache, threshold, options.detect, deadlineUs, fr.stats, report);
+    {
+      PCNN_SPAN_ARG("detect.nms", "candidates", raw.size());
       fr.detections =
-          detect(frame, params_.scoreThreshold, report, frameOptions);
-    } else {
-      const tn::FaultCounts faultsBefore =
-          report != nullptr ? tn::globalFaultCounts() : tn::FaultCounts{};
-      std::vector<vision::Detection> raw = detectFrameTemporal(
-          frame, fr.stats, options.detect, deadlineUs, report);
-      if (report != nullptr) {
-        report->faults = tn::globalFaultCounts() - faultsBefore;
-      }
-      {
-        PCNN_SPAN_ARG("detect.nms", "candidates", raw.size());
-        fr.detections = vision::nonMaximumSuppression(std::move(raw),
-                                                      params_.nmsEpsilon);
-      }
-      if (smoothOn) {
-        fr.detections = temporal_->smoother.apply(fr.detections);
-      }
+          vision::nonMaximumSuppression(std::move(raw), params_.nmsEpsilon);
+    }
+    if (temporalOn && params_.temporal.smooth) {
+      fr.detections = cache.smoother.apply(fr.detections);
     }
     if (measure) {
       const double frameUs = obs::nowMicros() - frameStartUs;
@@ -369,19 +354,17 @@ BatchDetectResult GridDetector::detectBatch(
   return result;
 }
 
-std::vector<vision::Detection> GridDetector::detectFrameTemporal(
-    const vision::Image& frame, FrameStats& stats,
-    const DetectOptions& options, double deadlineUs,
-    DegradationReport* report) {
-  BatchMetrics& metrics = BatchMetrics::instance();
-  TemporalCache& cache = *temporal_;
-  const float threshold = params_.scoreThreshold;
+std::vector<vision::Detection> GridDetector::scanFrame(
+    const vision::Image& frame, TemporalCache& cache, float threshold,
+    const DetectOptions& options, double deadlineUs, FrameStats& stats,
+    DegradationReport* report) const {
+  ScanMetrics& metrics = ScanMetrics::instance();
+  const tn::FaultCounts faultsBefore =
+      report != nullptr ? tn::globalFaultCounts() : tn::FaultCounts{};
   const bool blockPath =
       featureExtractor_->layout() == extract::FeatureLayout::kBlockNorm;
   const int cell = params_.cellSize;
-  const int tileCells =
-      params_.temporal.tileCells > 0 ? params_.temporal.tileCells : 1;
-  const int tilePx = tileCells * cell;
+  const int tilePx = kTileCells * cell;
   std::vector<vision::Detection> detections;
 
   // Cold start (or a stream whose dimensions changed): rebuild the
@@ -398,6 +381,7 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
       PCNN_SPAN("detect.pyramid");
       pyramid = vision::buildPyramid(frame, pp);
     }
+    metrics.pyramidLevels.add(static_cast<long>(pyramid.size()));
     cache.levels.resize(pyramid.size());
     for (std::size_t li = 0; li < pyramid.size(); ++li) {
       cache.levels[li].image = std::move(pyramid[li].image);
@@ -425,24 +409,28 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
     PCNN_SPAN_ARG("detect.level", "level", levelIndex);
     const int cellsX = lc.image.width() / cell;
     const int cellsY = lc.image.height() / cell;
-    const int tilesAcross = ceilDiv(cellsX, tileCells);
-    const int tilesDown = ceilDiv(cellsY, tileCells);
+    const int tilesAcross = ceilDiv(cellsX, kTileCells);
+    const int tilesDown = ceilDiv(cellsY, kTileCells);
     const long levelTiles = static_cast<long>(tilesAcross) * tilesDown;
     lc.spanX = cellsX - params_.windowCellsX + 1;
     lc.spanY = cellsY - params_.windowCellsY + 1;
     if (lc.spanX <= 0 || lc.spanY <= 0) continue;
-    const long levelWindowSpan =
+    const long levelWindows =
         static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
 
-    // Deliberate shedding and deadline abandonment (the serving ladder).
-    // A skipped level's cached grid goes stale against the live stream, so
-    // it is invalidated and rebuilds from the current frame when the
-    // ladder re-enables it.
+    // Deliberate shedding (the serving ladder's coarser-pyramid rung: the
+    // finest levels are the most expensive and go first) and deadline
+    // abandonment (once the hook fires, every remaining level is given up;
+    // detections from completed levels survive). Both are attributed so
+    // the caller sees exactly what quality was traded away. A skipped
+    // level's cached grid goes stale against the live stream, so it is
+    // invalidated and rebuilds from the current frame when the ladder
+    // re-enables it.
     if (levelIndex < options.skipFinestLevels) {
       metrics.levelsShed.add();
       lc.valid = false;
       if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindowSpan,
+        report->addSkip(static_cast<int>(levelIndex), levelWindows,
                         Status::Unavailable("detect: level shed by caller"));
       }
       continue;
@@ -456,31 +444,43 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
       metrics.levelsExpired.add();
       lc.valid = false;
       if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindowSpan,
+        report->addSkip(static_cast<int>(levelIndex), levelWindows,
                         Status::DeadlineExceeded(
                             "detect: level abandoned past deadline"));
       }
       continue;
     }
 
+    // A level whose grid cannot be produced -- a backend failure, a
+    // poisoned image, a simulator fault -- degrades the frame rather than
+    // aborting it: the level is skipped, its windows are counted lost, it
+    // is rebuilt from scratch on the next frame, and the scan goes on.
     auto skipLevel = [&](Status status) {
       PCNN_SPAN_ARG("detect.level.degraded", "level", levelIndex);
       obs::noteFaultEvent("detect.level.degraded");
       metrics.levelsDegraded.add();
-      lc.valid = false;  // rebuilt from scratch on the next frame
+      metrics.windowsLost.add(levelWindows);
+      lc.valid = false;
       if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindowSpan,
+        report->addSkip(static_cast<int>(levelIndex), levelWindows,
                         std::move(status));
       }
     };
 
+    // Bring the level's cells and blocks up to date. `dirtyTiles` stays
+    // empty on a full compute, where every tile and window is dirty.
+    std::vector<std::uint8_t> dirtyTiles;
+    long dirtyTileCount = levelTiles;
     if (!lc.valid) {
       // Full compute: cold cache, or the level was invalidated by a
       // failed incremental update or a shed/abandoned scan. On a warm
       // cache the level's pixels are stale (the incremental splice only
       // runs for valid levels), so refresh the whole level from the live
       // frame first -- resizeBilinearInto over the full rect reproduces
-      // buildPyramid's resize bit for bit.
+      // buildPyramid's resize bit for bit. The grid is extracted once per
+      // level on the calling thread (extractors may be stateful); block-norm
+      // extractors also normalize every block exactly once here, and every
+      // window then slices them.
       if (!cold) {
         if (levelIndex == 0) {
           std::memcpy(&lc.image.at(0, 0), frame.data().data(),
@@ -513,187 +513,134 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
           continue;
         }
       }
-      const long levelWindows =
-          static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
-      PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      long lost = 0;
-      scoreAllWindows(*featureExtractor_, scorer_, blockPath, lc.grid,
-                      lc.blocks, lc, params_.parallelScan, lost);
-      if (lost > 0) {
-        metrics.windowsLost.add(lost);
-        if (report != nullptr) report->windowsLost += lost;
-      }
+      lc.scores.assign(static_cast<std::size_t>(levelWindows), kLostScore);
       lc.valid = true;
-      stats.tilesRecomputed += levelTiles;
-      stats.windowsRescored += levelWindows;
-      metrics.tilesRecomputed.add(levelTiles);
-      metrics.windowsRescored.add(levelWindows);
-      emitLevelDetections(lc, params_, threshold, detections);
-      continue;
-    }
+    } else {
+      // Incremental: refresh the level's pixels under the dirty scene
+      // rects, mark the tiles whose cells they touch, and recompute only
+      // those.
+      dirtyTiles.assign(static_cast<std::size_t>(tilesAcross) * tilesDown,
+                        0);
+      for (const PxRect& sceneRect : sceneDirty) {
+        PxRect r;
+        if (levelIndex == 0) {
+          // Level 0 is a verbatim copy of the scene: splice the rows.
+          r = sceneRect;
+          const float* src = frame.data().data();
+          for (int y = r.y0; y < r.y1; ++y) {
+            std::memcpy(
+                &lc.image.at(r.x0, y),
+                src + static_cast<std::size_t>(y) * frame.width() + r.x0,
+                sizeof(float) * static_cast<std::size_t>(r.x1 - r.x0));
+          }
+        } else {
+          r = mapRectToLevel(sceneRect, frame, lc.image);
+          if (r.x0 >= r.x1 || r.y0 >= r.y1) continue;
+          vision::resizeBilinearInto(frame, lc.image, r.x0, r.y0, r.x1,
+                                     r.y1);
+        }
+        // The gradient stencil reads 1 px around a cell, so a changed
+        // pixel dirties every cell within 1 px -- then tiles containing
+        // them.
+        const int cx0 = (r.x0 > 0 ? r.x0 - 1 : 0) / cell;
+        const int cy0 = (r.y0 > 0 ? r.y0 - 1 : 0) / cell;
+        const int cx1 = std::min(cellsX, ceilDiv(r.x1 + 1, cell));
+        const int cy1 = std::min(cellsY, ceilDiv(r.y1 + 1, cell));
+        if (cx0 >= cx1 || cy0 >= cy1) continue;
+        for (int ty = cy0 / kTileCells; ty < ceilDiv(cy1, kTileCells); ++ty) {
+          for (int tx = cx0 / kTileCells; tx < ceilDiv(cx1, kTileCells);
+               ++tx) {
+            dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx] = 1;
+          }
+        }
+      }
 
-    // Incremental path: refresh the level's pixels under the dirty scene
-    // rects, mark the tiles whose cells they touch, and recompute only
-    // those.
-    std::vector<std::uint8_t> dirtyTiles(
-        static_cast<std::size_t>(tilesAcross) * tilesDown, 0);
-    bool anyDirty = false;
-    for (const PxRect& sceneRect : sceneDirty) {
-      PxRect r;
-      if (levelIndex == 0) {
-        // Level 0 is a verbatim copy of the scene: splice the rows.
-        r = sceneRect;
-        const float* src = frame.data().data();
-        for (int y = r.y0; y < r.y1; ++y) {
-          std::memcpy(&lc.image.at(r.x0, y),
-                      src + static_cast<std::size_t>(y) * frame.width() + r.x0,
-                      sizeof(float) * static_cast<std::size_t>(r.x1 - r.x0));
-        }
-      } else {
-        r = mapRectToLevel(sceneRect, frame, lc.image);
-        if (r.x0 >= r.x1 || r.y0 >= r.y1) continue;
-        vision::resizeBilinearInto(frame, lc.image, r.x0, r.y0, r.x1, r.y1);
-      }
-      // The gradient stencil reads 1 px around a cell, so a changed pixel
-      // dirties every cell within 1 px -- then tiles containing them.
-      const int cx0 = (r.x0 > 0 ? r.x0 - 1 : 0) / cell;
-      const int cy0 = (r.y0 > 0 ? r.y0 - 1 : 0) / cell;
-      const int cx1 = std::min(cellsX, ceilDiv(r.x1 + 1, cell));
-      const int cy1 = std::min(cellsY, ceilDiv(r.y1 + 1, cell));
-      if (cx0 >= cx1 || cy0 >= cy1) continue;
-      for (int ty = cy0 / tileCells; ty < ceilDiv(cy1, tileCells); ++ty) {
-        for (int tx = cx0 / tileCells; tx < ceilDiv(cx1, tileCells); ++tx) {
-          dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx] = 1;
-          anyDirty = true;
+      // Merge dirty tiles into per-row cell rects and refresh cells/blocks.
+      std::vector<extract::CellRect> cellRects;
+      dirtyTileCount = 0;
+      for (int ty = 0; ty < tilesDown; ++ty) {
+        int tx = 0;
+        while (tx < tilesAcross) {
+          if (!dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx]) {
+            ++tx;
+            continue;
+          }
+          int end = tx;
+          while (end < tilesAcross &&
+                 dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross +
+                            end]) {
+            ++end;
+          }
+          dirtyTileCount += end - tx;
+          extract::CellRect rect;
+          rect.cx0 = tx * kTileCells;
+          rect.cx1 = std::min(cellsX, end * kTileCells);
+          rect.cy0 = ty * kTileCells;
+          rect.cy1 = std::min(cellsY, (ty + 1) * kTileCells);
+          cellRects.push_back(rect);
+          tx = end;
         }
       }
-    }
-
-    const long levelWindows =
-        static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
-    if (!anyDirty) {
-      // Nothing under this level changed: every tile and window reused.
-      stats.tilesReused += levelTiles;
-      stats.windowsReused += levelWindows;
-      metrics.tilesReused.add(levelTiles);
-      metrics.windowsReused.add(levelWindows);
-      emitLevelDetections(lc, params_, threshold, detections);
-      continue;
-    }
-
-    // Merge dirty tiles into per-row cell rects and refresh cells/blocks.
-    std::vector<extract::CellRect> cellRects;
-    long dirtyTileCount = 0;
-    for (int ty = 0; ty < tilesDown; ++ty) {
-      int tx = 0;
-      while (tx < tilesAcross) {
-        if (!dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx]) {
-          ++tx;
-          continue;
+      if (dirtyTileCount > 0) {
+        {
+          PCNN_SPAN("detect.cellGrid");
+          obs::ScopedTimer timer(cellGridUs());
+          StatusOr<long> updated = featureExtractor_->tryUpdateCellGrid(
+              lc.image, cellRects, lc.grid);
+          if (!updated.ok()) {
+            skipLevel(updated.status());
+            continue;
+          }
         }
-        int end = tx;
-        while (end < tilesAcross &&
-               dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + end]) {
-          ++end;
+        if (blockPath) {
+          PCNN_SPAN("detect.blockGrid");
+          try {
+            featureExtractor_->updateBlocks(lc.grid, cellRects, lc.blocks);
+          } catch (const std::exception& e) {
+            skipLevel(
+                Status::Internal(std::string("updateBlocks: ") + e.what()));
+            continue;
+          }
         }
-        dirtyTileCount += end - tx;
-        extract::CellRect rect;
-        rect.cx0 = tx * tileCells;
-        rect.cx1 = std::min(cellsX, end * tileCells);
-        rect.cy0 = ty * tileCells;
-        rect.cy1 = std::min(cellsY, (ty + 1) * tileCells);
-        cellRects.push_back(rect);
-        tx = end;
-      }
-    }
-    {
-      PCNN_SPAN("detect.cellGrid");
-      obs::ScopedTimer timer(cellGridUs());
-      StatusOr<long> updated = featureExtractor_->tryUpdateCellGrid(
-          lc.image, cellRects, lc.grid);
-      if (!updated.ok()) {
-        skipLevel(updated.status());
-        continue;
-      }
-    }
-    if (blockPath) {
-      PCNN_SPAN("detect.blockGrid");
-      try {
-        featureExtractor_->updateBlocks(lc.grid, cellRects, lc.blocks);
-      } catch (const std::exception& e) {
-        skipLevel(
-            Status::Internal(std::string("updateBlocks: ") + e.what()));
-        continue;
       }
     }
 
-    // Dirty-window mask via 2-D prefix sums over the tile bitmap: a
-    // window is rescored iff any tile intersecting its cell footprint is
-    // dirty.
-    std::vector<int> prefix(
-        static_cast<std::size_t>(tilesDown + 1) * (tilesAcross + 1), 0);
-    for (int ty = 0; ty < tilesDown; ++ty) {
-      for (int tx = 0; tx < tilesAcross; ++tx) {
-        prefix[static_cast<std::size_t>(ty + 1) * (tilesAcross + 1) + tx +
-               1] =
-            prefix[static_cast<std::size_t>(ty) * (tilesAcross + 1) + tx +
-                   1] +
-            prefix[static_cast<std::size_t>(ty + 1) * (tilesAcross + 1) +
-                   tx] -
-            prefix[static_cast<std::size_t>(ty) * (tilesAcross + 1) + tx] +
-            dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx];
-      }
-    }
-    auto windowDirty = [&](int wx, int wy) {
-      const int txa = wx / tileCells;
-      const int txb = (wx + params_.windowCellsX - 1) / tileCells;
-      const int tya = wy / tileCells;
-      const int tyb = (wy + params_.windowCellsY - 1) / tileCells;
-      const int sum =
-          prefix[static_cast<std::size_t>(tyb + 1) * (tilesAcross + 1) +
-                 txb + 1] -
-          prefix[static_cast<std::size_t>(tya) * (tilesAcross + 1) + txb +
-                 1] -
-          prefix[static_cast<std::size_t>(tyb + 1) * (tilesAcross + 1) +
-                 txa] +
-          prefix[static_cast<std::size_t>(tya) * (tilesAcross + 1) + txa];
-      return sum > 0;
-    };
-
-    // Rescore only the dirty windows; rows are disjoint score slices, so
-    // the parallel loop is deterministic for any thread count.
-    std::vector<long> rowRescored(static_cast<std::size_t>(lc.spanY), 0);
-    std::vector<long> rowLost(static_cast<std::size_t>(lc.spanY), 0);
-    auto rescanRow = [&](long wy) {
-      float* row =
-          lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
-      for (int wx = 0; wx < lc.spanX; ++wx) {
-        if (!windowDirty(wx, static_cast<int>(wy))) continue;
-        ++rowRescored[static_cast<std::size_t>(wy)];
-        try {
-          const std::vector<float> features =
-              blockPath ? featureExtractor_->windowFromBlocks(
-                              lc.blocks, wx, static_cast<int>(wy))
-                        : featureExtractor_->windowFromGrid(
-                              lc.grid, wx, static_cast<int>(wy));
-          row[wx] = scorer_(features);
-        } catch (const std::exception&) {
-          row[wx] = kLostScore;
-          ++rowLost[static_cast<std::size_t>(wy)];
-        }
-      }
-    };
-    {
+    // Score the dirty windows -- all of them on a full compute; on an
+    // incremental update a window is dirty iff any tile intersecting its
+    // cell footprint is, answered by 2-D prefix sums over the tile bitmap.
+    long rescored = 0;
+    long lost = 0;
+    if (dirtyTileCount > 0) {
       PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      if (params_.parallelScan) {
-        parallelFor(0, lc.spanY, rescanRow);
+      if (dirtyTiles.empty()) {
+        scoreWindows(*featureExtractor_, scorer_, blockPath, lc,
+                     [](int, int) { return true; }, rescored, lost);
       } else {
-        for (int wy = 0; wy < lc.spanY; ++wy) rescanRow(wy);
+        const std::size_t stride = static_cast<std::size_t>(tilesAcross) + 1;
+        std::vector<int> prefix(stride * (tilesDown + 1), 0);
+        for (int ty = 0; ty < tilesDown; ++ty) {
+          for (int tx = 0; tx < tilesAcross; ++tx) {
+            prefix[(ty + 1) * stride + tx + 1] =
+                prefix[ty * stride + tx + 1] +
+                prefix[(ty + 1) * stride + tx] - prefix[ty * stride + tx] +
+                dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx];
+          }
+        }
+        auto windowDirty = [&](int wx, int wy) {
+          const int txa = wx / kTileCells;
+          const int txb = (wx + params_.windowCellsX - 1) / kTileCells;
+          const int tya = wy / kTileCells;
+          const int tyb = (wy + params_.windowCellsY - 1) / kTileCells;
+          return prefix[(tyb + 1) * stride + txb + 1] -
+                     prefix[tya * stride + txb + 1] -
+                     prefix[(tyb + 1) * stride + txa] +
+                     prefix[tya * stride + txa] >
+                 0;
+        };
+        scoreWindows(*featureExtractor_, scorer_, blockPath, lc, windowDirty,
+                     rescored, lost);
       }
     }
-    long rescored = 0, lost = 0;
-    for (long r : rowRescored) rescored += r;
-    for (long l : rowLost) lost += l;
     if (lost > 0) {
       metrics.windowsLost.add(lost);
       if (report != nullptr) report->windowsLost += lost;
@@ -706,11 +653,16 @@ std::vector<vision::Detection> GridDetector::detectFrameTemporal(
     metrics.tilesReused.add(levelTiles - dirtyTileCount);
     metrics.windowsRescored.add(rescored);
     metrics.windowsReused.add(levelWindows - rescored);
+    metrics.windowsScanned.add(rescored);
+    metrics.gridCacheHits.add(rescored);
     emitLevelDetections(lc, params_, threshold, detections);
   }
 
   cache.scene = frame;
   cache.valid = true;
+  if (report != nullptr) {
+    report->faults = tn::globalFaultCounts() - faultsBefore;
+  }
   return detections;
 }
 

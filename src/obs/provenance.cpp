@@ -44,7 +44,6 @@ Provenance provenance() {
   p.hardwareThreads = std::thread::hardware_concurrency();
   p.simdEnv = envOrUnset("PCNN_SIMD");
   p.numThreadsEnv = envOrUnset("PCNN_NUM_THREADS");
-  p.temporalEnv = envOrUnset("PCNN_TEMPORAL");
   p.faultsEnv = envOrUnset("PCNN_FAULTS");
   p.tnEngineEnv = envOrUnset("PCNN_TN_ENGINE");
   p.serveQueueEnv = envOrUnset("PCNN_SERVE_QUEUE");
@@ -61,7 +60,6 @@ std::string provenanceJson(
   out += ", \"hardware_threads\": " + std::to_string(p.hardwareThreads);
   out += ", \"simd_env\": \"" + p.simdEnv + "\"";
   out += ", \"num_threads_env\": \"" + p.numThreadsEnv + "\"";
-  out += ", \"temporal_env\": \"" + p.temporalEnv + "\"";
   out += ", \"faults_env\": \"" + p.faultsEnv + "\"";
   out += ", \"tn_engine_env\": \"" + p.tnEngineEnv + "\"";
   out += ", \"serve_queue_env\": \"" + p.serveQueueEnv + "\"";

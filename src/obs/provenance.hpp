@@ -14,7 +14,6 @@ struct Provenance {
   unsigned hardwareThreads;   ///< std::thread::hardware_concurrency()
   std::string simdEnv;        ///< PCNN_SIMD value, or "unset"
   std::string numThreadsEnv;  ///< PCNN_NUM_THREADS value, or "unset"
-  std::string temporalEnv;    ///< PCNN_TEMPORAL value, or "unset"
   std::string faultsEnv;      ///< PCNN_FAULTS value, or "unset"
   std::string tnEngineEnv;    ///< PCNN_TN_ENGINE value, or "unset"
   std::string serveQueueEnv;  ///< PCNN_SERVE_QUEUE value, or "unset"

@@ -202,9 +202,16 @@ TEST(GridDetector, ThresholdOverrideAtDetectTime) {
   vision::Image scene(48, 48, 0.5f);
   const auto atDefault = detector.detectRaw(scene);
   EXPECT_FALSE(atDefault.empty());
-  EXPECT_EQ(detector.detectRaw(scene, 0.5f).size(), atDefault.size());
-  EXPECT_TRUE(detector.detectRaw(scene, 2.0f).empty());
-  EXPECT_TRUE(detector.detect(scene, 2.0f).empty());
+  core::DetectOptions same, above;
+  same.scoreThreshold = 0.5f;
+  above.scoreThreshold = 2.0f;
+  EXPECT_EQ(detector.detectRaw(scene, same).size(), atDefault.size());
+  EXPECT_TRUE(detector.detectRaw(scene, above).empty());
+  EXPECT_TRUE(detector.detect(scene, above).empty());
+  core::BatchOptions batchAbove;
+  batchAbove.detect = above;
+  EXPECT_TRUE(
+      detector.detectBatch({scene}, batchAbove).frames[0].detections.empty());
   // The override is per call: the construction-time threshold still holds.
   EXPECT_EQ(detector.detectRaw(scene).size(), atDefault.size());
 }

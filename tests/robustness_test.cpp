@@ -19,6 +19,7 @@
 #include "eedn/serialize.hpp"
 #include "extract/registry.hpp"
 #include "hog/hog.hpp"
+#include "obs/obs.hpp"
 #include "parrot/parrot.hpp"
 #include "svm/serialize.hpp"
 #include "tn/faults.hpp"
@@ -492,23 +493,34 @@ class FlakyExtractor : public extract::FeatureExtractor {
   hog::HogExtractor hogRef_;
 };
 
-TEST(GridDetector, SkipsPoisonedLevelsAndReportsDegradation) {
+core::GridDetectorParams poisonedLevelParams() {
   core::GridDetectorParams params;
   params.scoreThreshold = -1e9f;
   params.pyramid.maxLevels = 4;
-  auto scorer = [](const std::vector<float>&) { return 1.0f; };
+  return params;
+}
+
+/// Its pyramid levels are 128, ~116, ~105, ~96 wide; FlakyExtractor(110)
+/// fails the last two.
+vision::Image poisonedLevelScene() {
   vision::Image scene(128, 128, 0.5f);
   for (int y = 0; y < 128; ++y) {
     for (int x = 0; x < 128; ++x) {
       scene.at(x, y) = static_cast<float>((x + y) % 17) / 17.0f;
     }
   }
+  return scene;
+}
 
-  // Levels are 128, ~116, ~105, ~96 wide; the last two fail.
+TEST(GridDetector, SkipsPoisonedLevelsAndReportsDegradation) {
+  const core::GridDetectorParams params = poisonedLevelParams();
+  auto scorer = [](const std::vector<float>&) { return 1.0f; };
+  const vision::Image scene = poisonedLevelScene();
+
   core::GridDetector detector(params, std::make_shared<FlakyExtractor>(110),
                               scorer);
   core::DegradationReport report;
-  const auto detections = detector.detect(scene, -1e9f, &report);
+  const auto detections = detector.detect(scene, {}, &report);
   EXPECT_FALSE(detections.empty());  // surviving levels still detect
   EXPECT_EQ(report.levelsSkipped, 2);
   EXPECT_GT(report.windowsLost, 0);
@@ -523,11 +535,59 @@ TEST(GridDetector, SkipsPoisonedLevelsAndReportsDegradation) {
   core::DegradationReport healthyReport;
   // Pre-NMS, the healthy detector keeps every window the degraded one kept
   // plus the two recovered levels' worth.
-  const auto healthyRaw = healthy.detectRaw(scene, -1e9f, &healthyReport);
-  const auto degradedRaw = detector.detectRaw(scene, -1e9f, nullptr);
+  const auto healthyRaw = healthy.detectRaw(scene, {}, &healthyReport);
+  const auto degradedRaw = detector.detectRaw(scene);
   EXPECT_GT(healthyRaw.size(), degradedRaw.size());
   EXPECT_FALSE(healthyReport.degraded());
   EXPECT_EQ(healthyReport.summary(), "healthy");
+}
+
+// detect() and detectBatch -- temporal reuse on and off -- run one scan, so
+// a poisoned level is skipped and accounted identically through every
+// entry point: equal reports, equal detect.windows_lost counter deltas.
+TEST(GridDetector, PoisonedLevelsAccountedAlikeOnEveryEntryPoint) {
+  const vision::Image scene = poisonedLevelScene();
+  auto scorer = [](const std::vector<float>&) { return 1.0f; };
+  const bool metricsWere = obs::metricsEnabled();
+  obs::setMetricsEnabled(true);
+  obs::Counter& windowsLost = obs::counter("detect.windows_lost");
+
+  core::GridDetector single(poisonedLevelParams(),
+                            std::make_shared<FlakyExtractor>(110), scorer);
+  core::DegradationReport expected;
+  long before = windowsLost.value();
+  single.detect(scene, {}, &expected);
+  const long expectedLost = windowsLost.value() - before;
+  ASSERT_EQ(expected.levelsSkipped, 2);
+  EXPECT_GT(expectedLost, 0);
+
+  for (bool temporal : {false, true}) {
+    core::GridDetectorParams params = poisonedLevelParams();
+    params.temporal.enabled = temporal;
+    core::GridDetector batch(params, std::make_shared<FlakyExtractor>(110),
+                             scorer);
+    std::vector<core::DegradationReport> reports;
+    before = windowsLost.value();
+    batch.detectBatch({scene, scene}, {}, &reports);
+    // Both frames poison the same levels (a warm frame retries them).
+    EXPECT_EQ(windowsLost.value() - before, 2 * expectedLost)
+        << "temporal=" << temporal;
+    ASSERT_EQ(reports.size(), 2u);
+    for (const core::DegradationReport& report : reports) {
+      EXPECT_EQ(report.levelsSkipped, expected.levelsSkipped)
+          << "temporal=" << temporal;
+      EXPECT_EQ(report.windowsLost, expected.windowsLost)
+          << "temporal=" << temporal;
+      ASSERT_EQ(report.skips.size(), expected.skips.size());
+      for (std::size_t i = 0; i < report.skips.size(); ++i) {
+        EXPECT_EQ(report.skips[i].level, expected.skips[i].level);
+        EXPECT_EQ(report.skips[i].windowsLost, expected.skips[i].windowsLost);
+        EXPECT_EQ(report.skips[i].status.code(),
+                  expected.skips[i].status.code());
+      }
+    }
+  }
+  obs::setMetricsEnabled(metricsWere);
 }
 
 /// Extractor that fails on specific "poisoned" windows (bright first

@@ -229,10 +229,10 @@ TEST(LoadController, CalmStreakResetByPressuredTick) {
 TEST(DetectOptions, DefaultOptionsAreBitwiseIdenticalToPlainDetect) {
   auto detector = makeDetector(/*temporal=*/false, /*maxLevels=*/2);
   const Image frame = testFrame();
-  const auto plain = detector->detect(frame, 2.0f);
+  const auto plain = detector->detect(frame);
   core::DegradationReport report;
   const auto optioned =
-      detector->detect(frame, 2.0f, &report, core::DetectOptions{});
+      detector->detect(frame, core::DetectOptions{}, &report);
   ASSERT_EQ(plain.size(), optioned.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     EXPECT_EQ(plain[i].score, optioned[i].score);
@@ -247,7 +247,7 @@ TEST(DetectOptions, SkipFinestLevelsIsAttributedAsUnavailable) {
   core::DegradationReport report;
   core::DetectOptions options;
   options.skipFinestLevels = 1;
-  detector->detect(frame, 2.0f, &report, options);
+  detector->detect(frame, options, &report);
   ASSERT_GE(report.levelsSkipped, 1);
   ASSERT_FALSE(report.skips.empty());
   EXPECT_EQ(report.skips[0].level, 0);  // the finest level goes first
@@ -261,7 +261,7 @@ TEST(DetectOptions, CancelAbandonsEveryLevelAsDeadlineExceeded) {
   core::DegradationReport report;
   core::DetectOptions options;
   options.cancel = [] { return true; };
-  const auto detections = detector->detect(frame, 2.0f, &report, options);
+  const auto detections = detector->detect(frame, options, &report);
   EXPECT_TRUE(detections.empty());
   ASSERT_GE(report.levelsSkipped, 1);
   for (const core::LevelSkip& skip : report.skips) {
@@ -297,9 +297,8 @@ TEST(BatchOptions, TemporalCacheRebuildsAfterShedLevelReenabled) {
   auto shedThenFull = makeDetector(/*temporal=*/true, /*maxLevels=*/2);
   core::BatchOptions shedMiddle;
   shedMiddle.detect.skipFinestLevels = 1;
-  shedThenFull->detectBatch({frames[0], frames[1]}, shedMiddle, nullptr);
-  const auto afterShed = shedThenFull->detectBatch(
-      {frames[2]}, core::BatchOptions{}, nullptr);
+  shedThenFull->detectBatch({frames[0], frames[1]}, shedMiddle);
+  const auto afterShed = shedThenFull->detectBatch({frames[2]});
 
   auto alwaysFull = makeDetector(/*temporal=*/true, /*maxLevels=*/2);
   const auto reference = alwaysFull->detectBatch(frames);

@@ -2,10 +2,9 @@
 // video source (vision::SyntheticVideo), the incremental cell/block
 // refresh primitives it drives, the pyramid geometry at 1920x1080, and
 // GridDetector::detectBatch -- in particular the bitwise-parity contracts
-// (PCNN_TEMPORAL=off == per-frame detect() at any thread count; the
+// (temporal.enabled = false == per-frame detect() at any thread count; the
 // temporal path == the off path for deterministic backends).
 #include <cmath>
-#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,15 +27,6 @@ using core::GridDetectorParams;
 using vision::Image;
 using vision::SyntheticVideo;
 using vision::VideoParams;
-
-/// RAII PCNN_TEMPORAL override restored to unset on destruction.
-class ScopedTemporalEnv {
- public:
-  explicit ScopedTemporalEnv(const char* value) {
-    ::setenv("PCNN_TEMPORAL", value, 1);
-  }
-  ~ScopedTemporalEnv() { ::unsetenv("PCNN_TEMPORAL"); }
-};
 
 VideoParams smallVideo(int persons = 1, std::uint64_t seed = 1) {
   VideoParams vp;
@@ -305,23 +295,28 @@ TEST(IncrementalGrid, RejectsGeometryMismatch) {
 
 // ----------------------------------------------------------- detectBatch
 
+// With reuse off every frame runs cold, so the burst equals per-frame
+// detect() bitwise for every backend -- stochastic parrot included, whose
+// two cold scans draw its coding RNG in the same order -- at any thread
+// count. Smoothing is requested but must not apply.
 TEST(DetectBatch, OffModeMatchesPerFrameDetectAtAnyThreadCount) {
-  ScopedTemporalEnv off("off");
   SyntheticVideo video(smallVideo(2, 31));
   std::vector<Image> frames;
   for (int f = 0; f < 3; ++f) frames.push_back(video.frame(f).image);
   const int restoreThreads = threadCount();
-  for (int threads : {1, 4}) {
-    setThreadCount(threads);
-    GridDetector batchDetector = makeDetector("hog", true, true);
-    GridDetector refDetector = makeDetector("hog", true, true);
-    const BatchDetectResult batch = batchDetector.detectBatch(frames);
-    EXPECT_FALSE(batch.temporalEnabled);
-    ASSERT_EQ(batch.frames.size(), frames.size());
-    for (std::size_t f = 0; f < frames.size(); ++f) {
-      EXPECT_TRUE(batch.frames[f].stats.fullRecompute);
-      const auto ref = refDetector.detect(frames[f]);
-      expectSameDetections(batch.frames[f].detections, ref, "off-mode");
+  for (const char* backend :
+       {"hog", "fixedpoint", "napprox", "parrot:exact", "parrot"}) {
+    for (int threads : {1, 4}) {
+      setThreadCount(threads);
+      GridDetector batchDetector = makeDetector(backend, false, true);
+      GridDetector refDetector = makeDetector(backend, false, true);
+      const BatchDetectResult batch = batchDetector.detectBatch(frames);
+      ASSERT_EQ(batch.frames.size(), frames.size());
+      for (std::size_t f = 0; f < frames.size(); ++f) {
+        EXPECT_TRUE(batch.frames[f].stats.fullRecompute) << backend;
+        const auto ref = refDetector.detect(frames[f]);
+        expectSameDetections(batch.frames[f].detections, ref, backend);
+      }
     }
   }
   setThreadCount(restoreThreads);
@@ -337,8 +332,6 @@ void checkTemporalParity(const std::string& backend) {
   GridDetector offDetector = makeDetector(backend, false, false);
   const BatchDetectResult temporal = temporalDetector.detectBatch(frames);
   const BatchDetectResult off = offDetector.detectBatch(frames);
-  EXPECT_TRUE(temporal.temporalEnabled);
-  EXPECT_FALSE(off.temporalEnabled);
   ASSERT_EQ(temporal.frames.size(), off.frames.size());
   long reused = 0;
   for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -372,7 +365,6 @@ TEST(DetectBatch, AllTilesDirtyMatchesDetectAtAnyThreadCount) {
       GridDetector temporalDetector = makeDetector(backend, true, false);
       GridDetector refDetector = makeDetector(backend, true, false);
       const BatchDetectResult batch = temporalDetector.detectBatch(frames);
-      EXPECT_TRUE(batch.temporalEnabled);
       ASSERT_EQ(batch.frames.size(), frames.size());
       for (std::size_t f = 0; f < frames.size(); ++f) {
         if (f > 0) {
