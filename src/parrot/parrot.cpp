@@ -15,14 +15,14 @@ namespace {
 constexpr int kPatchSize = 100;  // 10x10 input field
 
 /// Reads the 10x10 input field of the cell whose top-left pixel is
-/// (x0, y0), in the same pixel order as cellHistogramWith.
-void gatherPatch(const vision::Image& img, int x0, int y0,
-                 std::vector<float>& patch) {
-  int i = 0;
+/// (x0, y0) in row-major pixel order, through `code`, into
+/// out[0], out[step], ..., out[99 * step].
+template <typename Code>
+void gatherPatch(const vision::Image& img, int x0, int y0, float* out,
+                 std::size_t step, Code code) {
   for (int y = 0; y < 10; ++y) {
-    for (int x = 0; x < 10; ++x) {
-      patch[static_cast<std::size_t>(i++)] =
-          img.atClamped(x0 - 1 + x, y0 - 1 + y);
+    for (int x = 0; x < 10; ++x, out += step) {
+      *out = code(img.atClamped(x0 - 1 + x, y0 - 1 + y));
     }
   }
 }
@@ -71,18 +71,22 @@ std::vector<float> ParrotHog::encodeInput(const std::vector<float>& patch) {
   return encodeInputWith(patch, codingRng_);
 }
 
+float ParrotHog::encodePixel(float pixel, pcnn::Rng& rng) const {
+  const int k = config_.inputSpikes;
+  if (k <= 0) return pixel;
+  const float v = std::clamp(pixel, 0.0f, 1.0f);
+  int spikes = 0;
+  for (int s = 0; s < k; ++s) {
+    if (rng.bernoulli(v)) ++spikes;
+  }
+  return static_cast<float>(spikes) / static_cast<float>(k);
+}
+
 std::vector<float> ParrotHog::encodeInputWith(const std::vector<float>& patch,
                                               pcnn::Rng& rng) const {
-  if (config_.inputSpikes <= 0) return patch;
   std::vector<float> coded(patch.size());
-  const int k = config_.inputSpikes;
   for (std::size_t i = 0; i < patch.size(); ++i) {
-    const float v = std::clamp(patch[i], 0.0f, 1.0f);
-    int spikes = 0;
-    for (int s = 0; s < k; ++s) {
-      if (rng.bernoulli(v)) ++spikes;
-    }
-    coded[i] = static_cast<float>(spikes) / static_cast<float>(k);
+    coded[i] = encodePixel(patch[i], rng);
   }
   return coded;
 }
@@ -185,12 +189,7 @@ std::vector<float> ParrotHog::cellHistogramWith(const vision::Image& img,
                                                 int x0, int y0,
                                                 pcnn::Rng& rng) {
   std::vector<float> patch(static_cast<std::size_t>(kPatchSize));
-  int i = 0;
-  for (int y = 0; y < 10; ++y) {
-    for (int x = 0; x < 10; ++x) {
-      patch[i++] = img.atClamped(x0 - 1 + x, y0 - 1 + y);
-    }
-  }
+  gatherPatch(img, x0, y0, patch.data(), 1, [](float pixel) { return pixel; });
   std::vector<float> out = inferWith(patch, rng);
   // The parrot regresses vote counts directly; clamp to the physical range
   // (a cell casts at most 64 votes) so features match NApprox's scale.
@@ -213,20 +212,17 @@ hog::CellGrid ParrotHog::computeCellsWith(const vision::Image& img,
   if (count == 0) return grid;
   const eedn::CompiledTrinaryNet& net = compiledNet();
 
-  // Gather and spike-encode every cell's patch in row-major cell order --
-  // the exact coding-stream draw order of the per-cell path -- into a
-  // feature-major activation plane, then run the whole grid through the
-  // compiled net in one batch.
+  // Gather and spike-encode every cell's patch straight into its column
+  // of a feature-major activation plane, in row-major cell and pixel
+  // order -- the exact coding-stream draw order of the per-cell path --
+  // then run the whole grid through the compiled net in one batch.
   std::vector<float> plane(static_cast<std::size_t>(kPatchSize) * count);
-  std::vector<float> patch(static_cast<std::size_t>(kPatchSize));
+  const auto code = [&](float pixel) { return encodePixel(pixel, rng); };
   int cell = 0;
   for (int cy = 0; cy < grid.cellsY; ++cy) {
     for (int cx = 0; cx < grid.cellsX; ++cx, ++cell) {
-      gatherPatch(img, cx * 8, cy * 8, patch);
-      const std::vector<float> coded = encodeInputWith(patch, rng);
-      for (int i = 0; i < kPatchSize; ++i) {
-        plane[static_cast<std::size_t>(i) * count + cell] = coded[i];
-      }
+      gatherPatch(img, cx * 8, cy * 8, plane.data() + cell,
+                  static_cast<std::size_t>(count), code);
     }
   }
   const std::vector<float> out = net.forwardBatch(plane, count);

@@ -115,6 +115,9 @@ class ParrotHog {
 
  private:
   std::vector<float> encodeInput(const std::vector<float>& patch);
+  /// One pixel through the input coding: exact inputs pass through,
+  /// k-spike coding draws k Bernoulli spikes from `rng`.
+  float encodePixel(float pixel, pcnn::Rng& rng) const;
   std::vector<float> encodeInputWith(const std::vector<float>& patch,
                                      pcnn::Rng& rng) const;
   std::vector<float> inferWith(const std::vector<float>& patch,

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <sstream>
+#include <utility>
 
 #include "common/rng.hpp"
-#include <cstdio>
-#include <sstream>
 
 #include "common/parallel.hpp"
 #include "eedn/classifier.hpp"
@@ -18,6 +21,7 @@
 #include "eedn/trinary_conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
+#include "parrot/parrot.hpp"
 
 namespace pcnn::eedn {
 namespace {
@@ -412,43 +416,106 @@ TEST(Serialize, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(CompiledTrinaryNet, ForwardBatchIdenticalBelowAndAboveColumnFloor) {
-  // Batches narrower than the column floor run as one chunk; wider ones
-  // split over the pool. Either way every column must equal the layer-wise
-  // forward of its sample, bit for bit, at any thread count.
+// Output rows of the last layer that get no nonzero weights, and their
+// biases: with no terms a row must output exactly its bias, -0 included.
+constexpr std::pair<int, float> kDeadRows[] = {{3, 2.5f}, {5, -0.0f}};
+
+// Gives every dense row of `net` a bias drawn from {+-0, +-0.5, +-1.5}
+// (zero biases keep threshold ties at 0 and signed-zero sums reachable)
+// and clears the weights of the kDeadRows rows of the last layer.
+void shapeForCompiledParity(nn::Sequential& net, pcnn::Rng& rng) {
+  constexpr float kBiases[] = {0.0f, -0.0f, 0.5f, -0.5f, 1.5f, -1.5f};
+  auto shape = [&](TrinaryDense& layer) {
+    for (float& b : layer.biases()) b = kBiases[rng.uniformInt(0, 5)];
+  };
+  for (std::size_t l = 0; l < net.layerCount(); ++l) {
+    if (auto* dense = dynamic_cast<TrinaryDense*>(&net.layer(l))) {
+      shape(*dense);
+    } else if (auto* part = dynamic_cast<PartitionedDense*>(&net.layer(l))) {
+      for (int g = 0; g < part->groupCount(); ++g) {
+        shape(part->mutableGroupLayer(g));
+      }
+    }
+  }
+  auto& last = dynamic_cast<TrinaryDense&>(net.layer(net.layerCount() - 1));
+  for (const auto& [row, bias] : kDeadRows) {
+    std::fill_n(last.hiddenWeights().begin() +
+                    static_cast<std::ptrdiff_t>(row) * last.inputSize(),
+                last.inputSize(), 0.0f);
+    last.biases()[static_cast<std::size_t>(row)] = bias;
+  }
+}
+
+std::uint32_t floatBits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+// forwardBatch splits every stage over (64-column tile x output row) items
+// and pads its planes to whole 8-float vectors. On both sides of every tile
+// edge, and at any thread count, each output must equal the layer-wise
+// forward of its sample bit for bit (signed zeros included).
+void checkCompiledParity(nn::Sequential& net, float inputLow,
+                         std::uint64_t seed) {
+  pcnn::Rng rng(seed);
+  shapeForCompiledParity(net, rng);
+  const CompiledTrinaryNet compiled(net);
+  const int in = compiled.inputSize();
+  const int out = compiled.outputSize();
+  const int before = pcnn::threadCount();
+  for (int count : {1, 63, 64, 65, 160, 255, 256, 1200}) {
+    // Every fifth column is all zeros and a fifth of the other inputs are
+    // exact zeros, so stages hit exact-zero sums and threshold ties.
+    std::vector<float> plane(static_cast<std::size_t>(in) * count);
+    for (int i = 0; i < in; ++i) {
+      for (int s = 0; s < count; ++s) {
+        const bool zero = s % 5 == 4 || rng.uniformInt(0, 4) == 0;
+        plane[static_cast<std::size_t>(i) * count + s] =
+            zero ? 0.0f
+                 : inputLow + static_cast<float>(rng.uniform());
+      }
+    }
+    std::vector<std::vector<float>> expected(static_cast<std::size_t>(count));
+    for (int s = 0; s < count; ++s) {
+      std::vector<float> sample(static_cast<std::size_t>(in));
+      for (int i = 0; i < in; ++i) {
+        sample[static_cast<std::size_t>(i)] =
+            plane[static_cast<std::size_t>(i) * count + s];
+      }
+      expected[static_cast<std::size_t>(s)] = net.forward(sample, false);
+      for (const auto& [row, bias] : kDeadRows) {
+        EXPECT_EQ(floatBits(expected[static_cast<std::size_t>(s)]
+                                    [static_cast<std::size_t>(row)]),
+                  floatBits(bias));
+      }
+    }
+    for (int threads : {1, 2, 4}) {
+      pcnn::setThreadCount(threads);
+      const std::vector<float> got = compiled.forwardBatch(plane, count);
+      ASSERT_EQ(got.size(), static_cast<std::size_t>(out) * count);
+      for (int s = 0; s < count; ++s) {
+        for (int j = 0; j < out; ++j) {
+          EXPECT_EQ(floatBits(got[static_cast<std::size_t>(j) * count + s]),
+                    floatBits(expected[static_cast<std::size_t>(s)]
+                                      [static_cast<std::size_t>(j)]))
+              << "count " << count << " threads " << threads << " sample "
+              << s << " output " << j;
+        }
+      }
+    }
+  }
+  pcnn::setThreadCount(before);
+}
+
+TEST(CompiledTrinaryNet, ForwardBatchMatchesForwardAcrossTileEdges) {
+  // The deployed parrot shape: 100 -> 504 -> 4 groups x 26 -> 18.
+  parrot::ParrotHog parrotHog;
+  checkCompiledParity(parrotHog.net(), 0.0f, 22);
+
+  // A small net whose first stage is a PartitionedDense, on signed inputs.
   pcnn::Rng rng(21);
   nn::Sequential net;
   net.add(std::make_unique<PartitionedDense>(100, 50, 16, rng));
   net.add(std::make_unique<SpikingThreshold>(32, 3.0f));
   net.add(std::make_unique<TrinaryDense>(32, 9, rng));
-  const CompiledTrinaryNet compiled(net);
-  const int floor = static_cast<int>(CompiledTrinaryNet::kMinChunkColumns);
-  const int before = pcnn::threadCount();
-  pcnn::Rng dataRng(22);
-  for (int count : {1, 16, floor - 1, floor, 3 * floor + 5}) {
-    std::vector<float> plane(static_cast<std::size_t>(100) * count);
-    for (float& v : plane) v = static_cast<float>(dataRng.uniform()) - 0.5f;
-    std::vector<std::vector<float>> outputs;
-    for (int threads : {1, 4}) {
-      pcnn::setThreadCount(threads);
-      outputs.push_back(compiled.forwardBatch(plane, count));
-    }
-    pcnn::setThreadCount(before);
-    EXPECT_EQ(outputs[0], outputs[1]) << "count " << count;
-    for (int s = 0; s < count; s += std::max(1, count / 7)) {
-      std::vector<float> sample(100);
-      for (int i = 0; i < 100; ++i) {
-        sample[static_cast<std::size_t>(i)] =
-            plane[static_cast<std::size_t>(i) * count + s];
-      }
-      const std::vector<float> expected = net.forward(sample, false);
-      for (int j = 0; j < 9; ++j) {
-        EXPECT_EQ(outputs[1][static_cast<std::size_t>(j) * count + s],
-                  expected[static_cast<std::size_t>(j)])
-            << "count " << count << " sample " << s << " output " << j;
-      }
-    }
-  }
+  checkCompiledParity(net, -0.5f, 23);
 }
 
 TEST(TnMapper, MappedNetworkMatchesReferenceExactly) {

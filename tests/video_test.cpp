@@ -349,6 +349,15 @@ TEST(DetectBatch, TemporalMatchesFullRecomputeHog) {
 TEST(DetectBatch, TemporalMatchesFullRecomputeFixedpoint) {
   checkTemporalParity("fixedpoint");
 }
+TEST(DetectBatch, TemporalMatchesFullRecomputeNapprox) {
+  checkTemporalParity("napprox");
+}
+// Moving persons dirty a few tiles per level, so every frame after the
+// first refreshes through many small crops: the compiled net's row-split
+// path for batches far narrower than a cold level.
+TEST(DetectBatch, TemporalMatchesFullRecomputeParrotExact) {
+  checkTemporalParity("parrot:exact");
+}
 
 // Consecutive frames from different scenes dirty every tile, so each
 // level refreshes through one crop around all of its dirty tile rows.
