@@ -64,21 +64,20 @@ int main() {
     config.inputScale = 1.0f / 64.0f;  // cell votes arrive as spike rates
     config.seed = 5;
     core::PartitionedPipeline pipeline(extractor, config);
-    // Three stochastic-coding realizations per window so the classifier
-    // learns the coding noise rather than one draw of it.
+    // Each window's code is a pure function of its pixels, so one copy per
+    // window carries its one realization; 75 epochs keep the gradient-step
+    // budget of the former three copies x 25 epochs.
     std::vector<vision::Image> windows;
     std::vector<int> labels;
-    for (int rep = 0; rep < 3; ++rep) {
-      for (const auto& w : data.trainPositives) {
-        windows.push_back(w);
-        labels.push_back(1);
-      }
-      for (const auto& w : data.trainNegatives) {
-        windows.push_back(w);
-        labels.push_back(-1);
-      }
+    for (const auto& w : data.trainPositives) {
+      windows.push_back(w);
+      labels.push_back(1);
     }
-    pipeline.trainClassifier(windows, labels, 25, 0.05f);
+    for (const auto& w : data.trainNegatives) {
+      windows.push_back(w);
+      labels.push_back(-1);
+    }
+    pipeline.trainClassifier(windows, labels, 75, 0.05f);
 
     int misses = 0, positives = 0;
     int correct = 0;

@@ -204,9 +204,8 @@ int runVerify(const ToolArgs& args) {
     return 1;
   }
 
-  // Two independent loads (not one load scored twice): stateful extractors
-  // restart their coding RNG stream on load, so parity across fresh loads
-  // is the reproducibility a deployment actually relies on.
+  // Two independent loads (not one load scored twice): parity across fresh
+  // loads is the reproducibility a deployment actually relies on.
   StatusOr<core::PartitionedPipeline> first =
       core::PartitionedPipeline::tryLoadBundle(bundle.value());
   StatusOr<core::PartitionedPipeline> second =

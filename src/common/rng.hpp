@@ -15,14 +15,28 @@ class Rng {
   /// Re-initialise the state from a 64-bit seed.
   void reseed(std::uint64_t seed) {
     // splitmix64 to spread the seed across the four state words.
-    auto next = [&seed]() {
-      seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return z ^ (z >> 31);
-    };
-    for (auto& word : state_) word = next();
+    for (auto& word : state_) word = splitmix64(seed);
+  }
+
+  /// One splitmix64 step: advances `state` by the golden-ratio increment
+  /// and returns the mixed value. The n-th step from a given start state is
+  /// a pure function of (start, n), so stepping a hashed key is a
+  /// counter-based stream.
+  static std::uint64_t splitmix64(std::uint64_t& state) {
+    state += 0x9e3779b97f4a7c15ULL;
+    return mix64(state);
+  }
+
+  /// splitmix64's output mixing: a bijective 64-bit finalizer.
+  static std::uint64_t mix64(std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  /// Uniform double in [0, 1) from the top 53 of 64 random bits.
+  static double unitFromBits(std::uint64_t bits) {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
   }
 
   /// Raw 64 uniformly random bits.
@@ -39,7 +53,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() { return static_cast<double>(nextU64() >> 11) * 0x1.0p-53; }
+  double uniform() { return unitFromBits(nextU64()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

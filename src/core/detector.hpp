@@ -159,12 +159,9 @@ class GridDetector {
   /// window scores ("detect.tiles_reused" / "detect.tiles_recomputed"
   /// counters); whole-frame recompute remains the always-available
   /// fallback (a level whose incremental update fails is invalidated,
-  /// degrades the frame, and is rebuilt from scratch on the next one). For
-  /// deterministic backends the reused scan is bitwise-identical to
-  /// per-frame detect(); the Parrot's stochastic coding stream is consumed
-  /// in a different order on the incremental path, so its detections are
-  /// equally valid draws but not bitwise reproductions (DESIGN.md Section
-  /// 5g).
+  /// degrades the frame, and is rebuilt from scratch on the next one). The
+  /// reused scan is bitwise-identical to per-frame detect() for every
+  /// backend, the spike-coded Parrot included (DESIGN.md Section 5g).
   ///
   /// With temporal.enabled = false every frame runs cold on a fresh level
   /// cache -- bitwise-identical to per-frame detect() at any thread count

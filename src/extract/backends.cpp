@@ -81,15 +81,6 @@ std::vector<float> NApproxBackend::windowFeatures(
              : model_.windowDescriptor(window);
 }
 
-std::vector<std::vector<float>> NApproxBackend::batchFeatures(
-    const std::vector<vision::Image>& windows) {
-  if (layout() == FeatureLayout::kFlatCell) {
-    BatchScope scope(*this, windows.size());
-    return model_.cellDescriptorBatch(windows);
-  }
-  return FeatureExtractor::batchFeatures(windows);
-}
-
 ExtractorInfo NApproxBackend::info() const {
   ExtractorInfo meta;
   meta.precision = "float";
@@ -159,27 +150,6 @@ std::vector<float> ParrotBackend::windowFeatures(const vision::Image& window) {
     return model_.cellDescriptor(window);
   }
   return FeatureExtractor::windowFeatures(window);
-}
-
-std::vector<std::vector<float>> ParrotBackend::batchFeatures(
-    const std::vector<vision::Image>& windows) {
-  BatchScope scope(*this, windows.size());
-  // The parrot's own batch path pre-draws one coding seed per window, so
-  // the batch is deterministic for any thread count. The block layout
-  // reshapes each flat result back into its cell grid and runs the shared
-  // block stage over it -- identical to assembling from cellGrid().
-  std::vector<std::vector<float>> flat = model_.cellDescriptorBatch(windows);
-  if (layout() == FeatureLayout::kFlatCell) return flat;
-  std::vector<std::vector<float>> out(windows.size());
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    hog::CellGrid grid;
-    grid.cellsX = windows[i].width() / cellSize();
-    grid.cellsY = windows[i].height() / cellSize();
-    grid.bins = bins();
-    grid.data = std::move(flat[i]);
-    out[i] = windowFromGrid(grid, 0, 0);
-  }
-  return out;
 }
 
 ExtractorInfo ParrotBackend::info() const {
@@ -273,8 +243,7 @@ Status QuantizedNApproxBackend::loadStateBody(
 
 Status ParrotBackend::saveStateBody(io::Writer& writer) {
   std::ostringstream net;
-  const parrot::ParrotHog& model = model_;
-  if (Status status = eedn::trySaveNetwork(model.net(), net); !status.ok()) {
+  if (Status status = eedn::trySaveNetwork(model_.net(), net); !status.ok()) {
     return status;
   }
   return writer.chunk("EEDN", net.str());
@@ -285,9 +254,7 @@ Status ParrotBackend::loadStateBody(
   for (const io::Reader::Chunk& chunk : chunks) {
     if (chunk.tag != "EEDN") continue;
     std::istringstream payload(chunk.payload);
-    // net() marks the compiled inference plan stale, so the next batch
-    // recompiles from the loaded weights.
-    return eedn::tryLoadNetwork(model_.net(), payload);
+    return model_.tryLoadNet(payload);
   }
   return Status::DataLoss("loadState: parrot state has no EEDN chunk");
 }

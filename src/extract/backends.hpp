@@ -59,8 +59,6 @@ class NApproxBackend final : public FeatureExtractor {
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
   std::vector<float> windowFeatures(const vision::Image& window) override;
-  std::vector<std::vector<float>> batchFeatures(
-      const std::vector<vision::Image>& windows) override;
   ExtractorInfo info() const override;
 
   const napprox::NApproxHog& model() const { return model_; }
@@ -101,9 +99,9 @@ class QuantizedNApproxBackend final : public FeatureExtractor {
 int napproxCoreletCoresPerCell();
 
 /// Parrot HoG: the trained Eedn cell network with optional stochastic
-/// input coding. Stateful -- stochastic draws come from the extractor's
-/// coding RNG stream -- so batches pre-draw per-window seeds instead of
-/// fanning windowFeatures out directly.
+/// input coding. The code is a pure function of each pixel's value and
+/// level position (parrot::codeSpikes), so extraction is deterministic
+/// like every other backend's.
 class ParrotBackend final : public FeatureExtractor {
  public:
   ParrotBackend(std::string name, FeatureLayout layout,
@@ -112,12 +110,9 @@ class ParrotBackend final : public FeatureExtractor {
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
   std::vector<float> windowFeatures(const vision::Image& window) override;
-  std::vector<std::vector<float>> batchFeatures(
-      const std::vector<vision::Image>& windows) override;
   ExtractorInfo info() const override;
   float pretrain(int numSamples, int epochs, float learningRate) override;
   void setInputSpikes(int spikes) override;
-  bool statelessExtraction() const override { return false; }
   bool hasTrainedState() const override { return true; }
 
   parrot::ParrotHog& parrot() { return model_; }

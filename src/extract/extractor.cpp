@@ -51,14 +51,6 @@ FeatureExtractor::FeatureExtractor(std::string name, FeatureLayout layout,
   batchUs_ = &obs::histogram("extract." + name_ + ".batch_us");
 }
 
-FeatureExtractor::BatchScope::BatchScope(FeatureExtractor& extractor,
-                                         std::size_t windows)
-    : span_("extract.batch", "windows", static_cast<long>(windows)),
-      timer_(*extractor.batchUs_) {
-  static obs::Counter& extracted = obs::counter("extract.windows");
-  extracted.add(static_cast<long>(windows));
-}
-
 int FeatureExtractor::featureDim() const {
   switch (layout_) {
     case FeatureLayout::kFlatCell:
@@ -289,18 +281,16 @@ long FeatureExtractor::updateBlocks(const hog::CellGrid& grid,
 
 std::vector<std::vector<float>> FeatureExtractor::batchFeatures(
     const std::vector<vision::Image>& windows) {
-  BatchScope scope(*this, windows.size());
+  const obs::Span span("extract.batch", "windows",
+                       static_cast<long>(windows.size()));
+  const obs::ScopedTimer timer(*batchUs_);
+  static obs::Counter& extracted = obs::counter("extract.windows");
+  extracted.add(static_cast<long>(windows.size()));
   std::vector<std::vector<float>> out(windows.size());
-  if (statelessExtraction()) {
-    parallelFor(0, static_cast<long>(windows.size()), [&](long i) {
-      out[static_cast<std::size_t>(i)] =
-          windowFeatures(windows[static_cast<std::size_t>(i)]);
-    });
-  } else {
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      out[i] = windowFeatures(windows[i]);
-    }
-  }
+  parallelFor(0, static_cast<long>(windows.size()), [&](long i) {
+    out[static_cast<std::size_t>(i)] =
+        windowFeatures(windows[static_cast<std::size_t>(i)]);
+  });
   return out;
 }
 

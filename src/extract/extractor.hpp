@@ -73,9 +73,11 @@ struct CellRect {
 /// core::PartitionedPipeline, svm mining, the benches) are written against
 /// it, so a new backend is a single registry entry away from every harness.
 ///
-/// Threading contract: cellGrid / windowFeatures / batchFeatures may be
-/// stateful (the Parrot draws stochastic-coding noise from an internal RNG
-/// stream) and must be called from one thread at a time. windowFromGrid is
+/// Threading contract: extraction is a pure function of the image (the
+/// Parrot's stochastic input code included -- it is keyed on pixel
+/// position, not drawn from a stream), so batchFeatures fans
+/// windowFeatures out on the thread pool. cellGrid / windowFeatures /
+/// batchFeatures are called by one consumer at a time; windowFromGrid is
 /// const and re-entrant: the detector scans window rows concurrently over
 /// one shared grid.
 class FeatureExtractor {
@@ -117,11 +119,10 @@ class FeatureExtractor {
   /// box plus its context costs no more cells than the separate crops,
   /// one crop around all of them is computed instead and every rect is
   /// spliced out of it. Any crop whose target cells sit one cell inside it
-  /// (or on the image border) sees the pixels the full image does, so for
-  /// deterministic backends the refreshed cells are bitwise-identical to
-  /// a full-image cellGrid either way; stochastic backends (the Parrot's
-  /// coding RNG is consumed in crop cell order) produce valid but
-  /// differently-coded histograms. `grid` must have the exact geometry
+  /// (or on the image border) sees the pixels the full image does -- and,
+  /// since a crop keeps its level origin, the Parrot codes them alike --
+  /// so the refreshed cells are bitwise-identical to a full-image cellGrid
+  /// either way. `grid` must have the exact geometry
   /// cellGrid(image) would produce. Returns the number of target cells
   /// refreshed; on failure the grid contents are unspecified and the
   /// caller should fall back to a full recompute.
@@ -162,12 +163,10 @@ class FeatureExtractor {
   /// it, and the conformance suite checks the two stay bitwise-identical).
   virtual std::vector<float> windowFeatures(const vision::Image& window);
 
-  /// windowFeatures over a batch. Stateless backends run on the global
-  /// thread pool; results match the sequential loop bit-for-bit at any
-  /// thread count. Stateful backends (Parrot) pre-draw one coding seed per
-  /// window so their batch is deterministic for a given extractor state
-  /// regardless of the thread count (but consumes the RNG stream
-  /// differently than the sequential loop would).
+  /// windowFeatures over a batch, one window per pool task; results match
+  /// the sequential loop bit-for-bit at any thread count. Records an
+  /// "extract.batch" span, the "extract.<name>.batch_us" histogram and the
+  /// "extract.windows" counter.
   virtual std::vector<std::vector<float>> batchFeatures(
       const std::vector<vision::Image>& windows);
 
@@ -184,8 +183,8 @@ class FeatureExtractor {
   /// precision sweep). No-op for extractors without a coded input stage.
   virtual void setInputSpikes(int spikes);
 
-  /// True when feature extraction mutates no state, so batches may fan out
-  /// per-window on the thread pool.
+  /// Always true: every backend extracts without mutating state. Kept
+  /// only as an override point of existing wrappers; nothing consults it.
   virtual bool statelessExtraction() const { return true; }
 
   /// True when the extractor carries state worth persisting beyond its
@@ -198,8 +197,7 @@ class FeatureExtractor {
   /// chunk carrying name + geometry, then backend-specific chunks
   /// (saveStateBody). Together with the registry spec this is everything
   /// needed to reconstruct the extractor without re-running stage-A
-  /// pretraining. May mutate transient caches (compiled plans) but not the
-  /// extracted features.
+  /// pretraining.
   Status trySaveState(std::ostream& out);
   Status trySaveStateFile(const std::string& path);
 
@@ -222,19 +220,6 @@ class FeatureExtractor {
   FeatureExtractor(std::string name, FeatureLayout layout, int bins,
                    int windowCellsX, int windowCellsY, int cellSize = 8);
 
-  /// RAII instrumentation for one batchFeatures call: a trace span plus
-  /// the backend's "extract.<name>.batch_us" latency histogram and the
-  /// global "extract.windows" counter. Backends overriding batchFeatures
-  /// open one at entry so every implementation reports identically.
-  class BatchScope {
-   public:
-    BatchScope(FeatureExtractor& extractor, std::size_t windows);
-
-   private:
-    obs::Span span_;
-    obs::ScopedTimer timer_;
-  };
-
   /// Backend hook appending state chunks after the META chunk. The default
   /// writes nothing (fixed-function extractors are fully described by
   /// their construction parameters).
@@ -253,7 +238,7 @@ class FeatureExtractor {
   int windowCellsX_;
   int windowCellsY_;
   hog::HogExtractor blockAssembler_;  ///< block slicing for kBlockNorm
-  /// Resolved once at construction; see BatchScope.
+  /// Resolved once at construction; see batchFeatures.
   obs::LatencyHistogram* batchUs_;
 };
 

@@ -132,14 +132,4 @@ std::vector<float> NApproxHog::cellDescriptor(
   return std::move(grid.data);
 }
 
-std::vector<std::vector<float>> NApproxHog::cellDescriptorBatch(
-    const std::vector<vision::Image>& windows) const {
-  std::vector<std::vector<float>> out(windows.size());
-  parallelFor(0, static_cast<long>(windows.size()), [&](long i) {
-    out[static_cast<std::size_t>(i)] =
-        cellDescriptor(windows[static_cast<std::size_t>(i)]);
-  });
-  return out;
-}
-
 }  // namespace pcnn::napprox

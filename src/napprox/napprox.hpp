@@ -59,12 +59,6 @@ class NApproxHog {
   /// Flat cell histograms without blocks/normalization (Eedn feature path).
   std::vector<float> cellDescriptor(const vision::Image& window) const;
 
-  /// cellDescriptor over a batch of windows, extracted in parallel on the
-  /// global thread pool (the extractor is stateless, so this is safe and
-  /// bit-deterministic for any thread count).
-  std::vector<std::vector<float>> cellDescriptorBatch(
-      const std::vector<vision::Image>& windows) const;
-
   /// Winning direction of a float gradient, or -1 when no direction's
   /// projection reaches minMagnitude. Strict argmax (first maximum wins);
   /// exposed for tests and Table 1 checks.

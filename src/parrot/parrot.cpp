@@ -7,6 +7,7 @@
 
 #include "common/parallel.hpp"
 #include "eedn/partitioned.hpp"
+#include "eedn/serialize.hpp"
 #include "eedn/trinary.hpp"
 #include "nn/loss.hpp"
 
@@ -14,15 +15,18 @@ namespace pcnn::parrot {
 namespace {
 constexpr int kPatchSize = 100;  // 10x10 input field
 
+/// Least spike draws one pool chunk of the coding pass carries, so small
+/// images (a 10x10 patch, a narrow crop) code inline.
+constexpr long kMinCodingDraws = 1L << 16;
+
 /// Reads the 10x10 input field of the cell whose top-left pixel is
-/// (x0, y0) in row-major pixel order, through `code`, into
-/// out[0], out[step], ..., out[99 * step].
-template <typename Code>
+/// (x0, y0) in row-major pixel order into out[0], out[step], ...,
+/// out[99 * step].
 void gatherPatch(const vision::Image& img, int x0, int y0, float* out,
-                 std::size_t step, Code code) {
+                 std::size_t step) {
   for (int y = 0; y < 10; ++y) {
     for (int x = 0; x < 10; ++x, out += step) {
-      *out = code(img.atClamped(x0 - 1 + x, y0 - 1 + y));
+      *out = img.atClamped(x0 - 1 + x, y0 - 1 + y);
     }
   }
 }
@@ -30,7 +34,7 @@ void gatherPatch(const vision::Image& img, int x0, int y0, float* out,
 }  // namespace
 
 ParrotHog::ParrotHog(const ParrotConfig& config)
-    : config_(config), rng_(config.seed), codingRng_(config.seed ^ 0xABCDu) {
+    : config_(config), rng_(config.seed) {
   if (config.hiddenWidth <= 0 || config.mergeGroupInput <= 0 ||
       config.mergeGroupInput > 127 || config.mergeOutputsPerGroup <= 0) {
     throw std::invalid_argument("ParrotHog: invalid layer sizes");
@@ -57,6 +61,7 @@ ParrotHog::ParrotHog(const ParrotConfig& config)
       mergeWidth, std::sqrt(static_cast<float>(config.mergeGroupInput))));
   net_.add(std::make_unique<eedn::TrinaryDense>(mergeWidth, config.bins,
                                                 rng_, config.tau));
+  compiled_ = std::make_unique<const eedn::CompiledTrinaryNet>(net_);
 }
 
 int ParrotHog::mappedCoresPerCell() const {
@@ -67,48 +72,52 @@ int ParrotHog::mappedCoresPerCell() const {
   return hiddenCores + mergeCores + 1;
 }
 
-std::vector<float> ParrotHog::encodeInput(const std::vector<float>& patch) {
-  return encodeInputWith(patch, codingRng_);
-}
-
-float ParrotHog::encodePixel(float pixel, pcnn::Rng& rng) const {
-  const int k = config_.inputSpikes;
-  if (k <= 0) return pixel;
-  const float v = std::clamp(pixel, 0.0f, 1.0f);
-  int spikes = 0;
-  for (int s = 0; s < k; ++s) {
-    if (rng.bernoulli(v)) ++spikes;
-  }
-  return static_cast<float>(spikes) / static_cast<float>(k);
-}
-
-std::vector<float> ParrotHog::encodeInputWith(const std::vector<float>& patch,
-                                              pcnn::Rng& rng) const {
-  std::vector<float> coded(patch.size());
-  for (std::size_t i = 0; i < patch.size(); ++i) {
-    coded[i] = encodePixel(patch[i], rng);
-  }
+vision::Image codeSpikes(const vision::Image& image, int spikes,
+                         std::uint64_t seed) {
+  vision::Image coded = image;  // same geometry and origin
+  if (spikes <= 0 || image.empty()) return coded;
+  const long width = image.width();
+  const long height = image.height();
+  const long grain = std::max(suggestedGrain(height),
+                              kMinCodingDraws / (width * spikes) + 1);
+  parallelForChunked(0, height, grain, [&](long y0, long y1) {
+    for (long y = y0; y < y1; ++y) {
+      const auto ly = static_cast<std::uint32_t>(image.originY() + y);
+      for (long x = 0; x < width; ++x) {
+        const auto lx = static_cast<std::uint32_t>(image.originX() + x);
+        const double v = std::clamp(image.at(static_cast<int>(x),
+                                             static_cast<int>(y)),
+                                    0.0f, 1.0f);
+        // The pixel's spike stream: splitmix64 steps from a hash of
+        // (seed, level-absolute x, y); step s draws spike s.
+        std::uint64_t state = pcnn::Rng::mix64(
+            seed ^ pcnn::Rng::mix64((std::uint64_t{lx} << 32) | ly));
+        int fired = 0;
+        for (int s = 0; s < spikes; ++s) {
+          fired += pcnn::Rng::unitFromBits(pcnn::Rng::splitmix64(state)) < v;
+        }
+        coded.at(static_cast<int>(x), static_cast<int>(y)) =
+            static_cast<float>(fired) / static_cast<float>(spikes);
+      }
+    }
+  });
   return coded;
 }
 
 std::vector<float> ParrotHog::infer(const std::vector<float>& patch) {
-  return inferWith(patch, codingRng_);
-}
-
-std::vector<float> ParrotHog::inferWith(const std::vector<float>& patch,
-                                        pcnn::Rng& rng) {
   if (static_cast<int>(patch.size()) != kPatchSize) {
     throw std::invalid_argument("ParrotHog::infer: patch must be 10x10");
   }
-  return net_.forward(encodeInputWith(patch, rng), false);
+  vision::Image field(10, 10);
+  field.data() = patch;
+  return net_.forward(
+      codeSpikes(field, config_.inputSpikes, codingSeed()).data(), false);
 }
 
-const eedn::CompiledTrinaryNet& ParrotHog::compiledNet() {
-  if (compiledStale_ || !compiled_) {
-    compiled_ = std::make_unique<eedn::CompiledTrinaryNet>(net_);
-    compiledStale_ = false;
-  }
-  return *compiled_;
+Status ParrotHog::tryLoadNet(std::istream& in) {
+  Status status = eedn::tryLoadNetwork(net_, in);
+  compiled_ = std::make_unique<const eedn::CompiledTrinaryNet>(net_);
+  return status;
 }
 
 float ParrotHog::train(const OrientedSampleGenerator& generator,
@@ -145,7 +154,8 @@ float ParrotHog::train(const OrientedSampleGenerator& generator,
     lastEpochLoss =
         static_cast<float>(lossSum / static_cast<double>(samples.size()));
   }
-  compiledStale_ = true;  // weights moved; the inference plan is a snapshot
+  // Weights moved; the inference plan is a snapshot.
+  compiled_ = std::make_unique<const eedn::CompiledTrinaryNet>(net_);
   return lastEpochLoss;
 }
 
@@ -180,29 +190,7 @@ double ParrotHog::dominantBinAccuracy(const OrientedSampleGenerator& generator,
              : 0.0;
 }
 
-std::vector<float> ParrotHog::cellHistogram(const vision::Image& img, int x0,
-                                            int y0) {
-  return cellHistogramWith(img, x0, y0, codingRng_);
-}
-
-std::vector<float> ParrotHog::cellHistogramWith(const vision::Image& img,
-                                                int x0, int y0,
-                                                pcnn::Rng& rng) {
-  std::vector<float> patch(static_cast<std::size_t>(kPatchSize));
-  gatherPatch(img, x0, y0, patch.data(), 1, [](float pixel) { return pixel; });
-  std::vector<float> out = inferWith(patch, rng);
-  // The parrot regresses vote counts directly; clamp to the physical range
-  // (a cell casts at most 64 votes) so features match NApprox's scale.
-  for (float& v : out) v = std::clamp(v, 0.0f, 64.0f);
-  return out;
-}
-
-hog::CellGrid ParrotHog::computeCells(const vision::Image& img) {
-  return computeCellsWith(img, codingRng_);
-}
-
-hog::CellGrid ParrotHog::computeCellsWith(const vision::Image& img,
-                                          pcnn::Rng& rng) {
+hog::CellGrid ParrotHog::computeCells(const vision::Image& img) const {
   hog::CellGrid grid;
   grid.cellsX = img.width() / 8;
   grid.cellsY = img.height() / 8;
@@ -210,22 +198,27 @@ hog::CellGrid ParrotHog::computeCellsWith(const vision::Image& img,
   const int count = grid.cellsX * grid.cellsY;
   grid.data.assign(static_cast<std::size_t>(count) * grid.bins, 0.0f);
   if (count == 0) return grid;
-  const eedn::CompiledTrinaryNet& net = compiledNet();
 
-  // Gather and spike-encode every cell's patch straight into its column
-  // of a feature-major activation plane, in row-major cell and pixel
-  // order -- the exact coding-stream draw order of the per-cell path --
-  // then run the whole grid through the compiled net in one batch.
+  // k-spike coding codes every stored pixel once; the cells then gather
+  // from the coded image exactly as exact inputs gather from the image.
+  vision::Image coded;
+  if (config_.inputSpikes > 0) {
+    coded = codeSpikes(img, config_.inputSpikes, codingSeed());
+  }
+  const vision::Image& input = config_.inputSpikes > 0 ? coded : img;
+
+  // Gather every cell's patch straight into its column of a feature-major
+  // activation plane, then run the whole grid through the compiled net in
+  // one batch.
   std::vector<float> plane(static_cast<std::size_t>(kPatchSize) * count);
-  const auto code = [&](float pixel) { return encodePixel(pixel, rng); };
   int cell = 0;
   for (int cy = 0; cy < grid.cellsY; ++cy) {
     for (int cx = 0; cx < grid.cellsX; ++cx, ++cell) {
-      gatherPatch(img, cx * 8, cy * 8, plane.data() + cell,
-                  static_cast<std::size_t>(count), code);
+      gatherPatch(input, cx * 8, cy * 8, plane.data() + cell,
+                  static_cast<std::size_t>(count));
     }
   }
-  const std::vector<float> out = net.forwardBatch(plane, count);
+  const std::vector<float> out = compiled_->forwardBatch(plane, count);
   // The parrot regresses vote counts directly; clamp to the physical range
   // (a cell casts at most 64 votes) so features match NApprox's scale.
   for (int c = 0; c < count; ++c) {
@@ -237,35 +230,14 @@ hog::CellGrid ParrotHog::computeCellsWith(const vision::Image& img,
   return grid;
 }
 
-std::vector<float> ParrotHog::cellDescriptor(const vision::Image& window) {
+std::vector<float> ParrotHog::cellDescriptor(
+    const vision::Image& window) const {
   hog::CellGrid grid = computeCells(window);
   return std::move(grid.data);
 }
 
-std::vector<std::vector<float>> ParrotHog::cellDescriptorBatch(
-    const std::vector<vision::Image>& windows) {
-  // Draw the per-window coding seeds sequentially so the realization each
-  // window receives depends only on the extractor's stream position, not
-  // on how the pool schedules the batch.
-  std::vector<std::uint64_t> seeds(windows.size());
-  for (auto& seed : seeds) seed = codingRng_.nextU64();
-  // Build the compiled plan before fanning out: the pool workers below
-  // only read it.
-  (void)compiledNet();
-  std::vector<std::vector<float>> out(windows.size());
-  parallelFor(0, static_cast<long>(windows.size()), [&](long i) {
-    const auto idx = static_cast<std::size_t>(i);
-    pcnn::Rng rng(seeds[idx]);
-    // One window-major batch through the compiled net; the grid's data
-    // layout (row-major cells, bins per cell) is exactly the flat feature
-    // vector the per-cell path assembled.
-    out[idx] = std::move(computeCellsWith(windows[idx], rng).data);
-  });
-  return out;
-}
-
 std::vector<float> ParrotHog::windowDescriptor(const vision::Image& window,
-                                               bool l2Normalize) {
+                                               bool l2Normalize) const {
   hog::HogParams hp;
   hp.cellSize = 8;
   hp.numBins = config_.bins;

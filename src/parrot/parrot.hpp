@@ -1,10 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <istream>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/status.hpp"
 #include "eedn/compiled.hpp"
 #include "hog/hog.hpp"
 #include "nn/sequential.hpp"
@@ -65,73 +67,65 @@ class ParrotHog {
   double dominantBinAccuracy(const OrientedSampleGenerator& generator,
                              int numSamples);
 
-  /// Histogram (confidences scaled back to vote counts, i.e. x64) of the
-  /// cell whose top-left pixel is (x0, y0).
-  std::vector<float> cellHistogram(const vision::Image& img, int x0, int y0);
-
   /// Per-cell feature grid over a whole image (layout matches
-  /// hog::CellGrid so downstream classifiers are extractor-agnostic).
-  hog::CellGrid computeCells(const vision::Image& img);
+  /// hog::CellGrid so downstream classifiers are extractor-agnostic). With
+  /// k-spike coding every stored pixel is coded once (codeSpikes) and the
+  /// cells gather from the coded image, so the grid is a pure function of
+  /// the image and its origin: thread-count-, call-order- and
+  /// crop-independent.
+  hog::CellGrid computeCells(const vision::Image& img) const;
 
   /// Flat cell features of a window (Eedn classifier path, no block norm).
-  std::vector<float> cellDescriptor(const vision::Image& window);
-
-  /// cellDescriptor over a batch of windows, run on the global thread
-  /// pool. One stochastic-coding seed is drawn per window up front (from
-  /// this extractor's coding stream), so the result is deterministic for a
-  /// given extractor state regardless of the thread count. Inference
-  /// through the trained net is read-only and safe to share.
-  std::vector<std::vector<float>> cellDescriptorBatch(
-      const std::vector<vision::Image>& windows);
+  std::vector<float> cellDescriptor(const vision::Image& window) const;
 
   /// Block-normalized window descriptor (SVM path).
   std::vector<float> windowDescriptor(const vision::Image& window,
-                                      bool l2Normalize = true);
+                                      bool l2Normalize = true) const;
 
   /// Raw network output for a 100-pixel patch: per-bin vote-count
-  /// estimates on the reference histogram's 0..64 scale.
+  /// estimates on the reference histogram's 0..64 scale. The patch is
+  /// coded as a 10x10 image at origin (0, 0).
   std::vector<float> infer(const std::vector<float>& patch);
 
   /// Changes the input spike coding without retraining.
   void setInputSpikes(int spikes) { config_.inputSpikes = spikes; }
 
-  /// Mutable access invalidates the compiled inference plan (the caller
-  /// may change weights); the next batched inference recompiles.
-  nn::Sequential& net() {
-    compiledStale_ = true;
-    return net_;
-  }
-
-  /// Read-only access (serialization); leaves the compiled plan valid.
+  /// Mutable access for forward passes (nn::Sequential::forward is
+  /// non-const). Weights change only through train() and tryLoadNet(),
+  /// which rebuild the compiled inference plan.
+  nn::Sequential& net() { return net_; }
   const nn::Sequential& net() const { return net_; }
 
-  /// Compiled deployment-weight plan for batched inference. Lazily built;
-  /// bitwise-identical outputs to net().forward(patch, false). Rebuilt
-  /// after train() or any mutable net() access.
-  const eedn::CompiledTrinaryNet& compiledNet();
+  /// Replaces the network weights with a serialized "PEDN" stream and
+  /// rebuilds the compiled inference plan.
+  Status tryLoadNet(std::istream& in);
 
   /// TrueNorth cores per cell for this network when mapped.
   int mappedCoresPerCell() const;
 
  private:
-  std::vector<float> encodeInput(const std::vector<float>& patch);
-  /// One pixel through the input coding: exact inputs pass through,
-  /// k-spike coding draws k Bernoulli spikes from `rng`.
-  float encodePixel(float pixel, pcnn::Rng& rng) const;
-  std::vector<float> encodeInputWith(const std::vector<float>& patch,
-                                     pcnn::Rng& rng) const;
-  std::vector<float> inferWith(const std::vector<float>& patch,
-                               pcnn::Rng& rng);
-  std::vector<float> cellHistogramWith(const vision::Image& img, int x0,
-                                       int y0, pcnn::Rng& rng);
-  hog::CellGrid computeCellsWith(const vision::Image& img, pcnn::Rng& rng);
+  /// Seed of the stochastic input code (see codeSpikes).
+  std::uint64_t codingSeed() const { return config_.seed ^ 0xABCDu; }
+
   ParrotConfig config_;
   pcnn::Rng rng_;
-  pcnn::Rng codingRng_;
   nn::Sequential net_;
-  /// Compiled snapshot of net_'s trinary weights (see compiledNet()).
-  std::unique_ptr<eedn::CompiledTrinaryNet> compiled_;
-  bool compiledStale_ = true;
+  /// Deployment-weight snapshot of net_ for batched inference, bitwise
+  /// identical to net_.forward(patch, false). Built eagerly (construction,
+  /// train(), tryLoadNet()) so concurrent extractions only read it.
+  std::unique_ptr<const eedn::CompiledTrinaryNet> compiled_;
 };
+
+/// The k-spike stochastic input code (paper Fig. 6) of an image: pixel
+/// (x, y) becomes the fraction of `spikes` Bernoulli(clamp(v, 0, 1)) draws
+/// that fire. Spike s of the pixel fires when u < clamp(v, 0, 1), where u
+/// is a uniform double from a splitmix64 hash of (seed, x + originX,
+/// y + originY, s) -- the position in the image the pixel was cropped
+/// from. So a crop codes to exactly the pixels its source codes to, and
+/// the same pixel value at the same position always gets the same code.
+/// Runs on the global thread pool; the result does not depend on the
+/// thread count.
+vision::Image codeSpikes(const vision::Image& image, int spikes,
+                         std::uint64_t seed);
 
 }  // namespace pcnn::parrot

@@ -21,6 +21,8 @@ float Image::sampleBilinear(float x, float y) const {
 
 Image Image::crop(int x, int y, int w, int h) const {
   Image out(w, h);
+  out.originX_ = originX_ + x;
+  out.originY_ = originY_ + y;
   for (int j = 0; j < h; ++j) {
     for (int i = 0; i < w; ++i) {
       out.at(i, j) = atClamped(x + i, y + j);

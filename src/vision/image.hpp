@@ -47,7 +47,15 @@ class Image {
   const std::vector<float>& data() const { return data_; }
 
   /// Returns the sub-image [x, x+w) x [y, y+h); clamps reads at borders.
+  /// The crop's origin is this image's origin plus (x, y).
   Image crop(int x, int y, int w, int h) const;
+
+  /// Position of pixel (0, 0) in the image this one was cropped from
+  /// (summed over nested crops); (0, 0) for constructed or resized images.
+  /// Lets per-pixel keyed computations (the Parrot's spike coding) treat a
+  /// crop exactly like the same pixels of its source.
+  int originX() const { return originX_; }
+  int originY() const { return originY_; }
 
   /// Clamp every pixel into [lo, hi].
   void clampValues(float lo, float hi);
@@ -58,6 +66,8 @@ class Image {
   }
   int width_ = 0;
   int height_ = 0;
+  int originX_ = 0;
+  int originY_ = 0;
   std::vector<float> data_;
 };
 

@@ -481,15 +481,14 @@ std::string bundlePathFor(const std::string& spec) {
 /// Trains a tiny pipeline on `spec`, saves it as a bundle, reloads it
 /// twice in fresh objects and checks the two reloads score a fresh window
 /// set bitwise-identically -- one at 1 thread, one at 4 threads, so the
-/// parity also covers thread-count invariance. For extractors with
-/// stateless extraction the original in-process pipeline must match too.
+/// parity also covers thread-count invariance. The original in-process
+/// pipeline must match too.
 void expectBundleReloadParity(const std::string& spec) {
   SCOPED_TRACE(spec);
   const extract::ExtractorOptions options = tinyOptions();
   auto extractor =
       extract::ExtractorRegistry::instance().create(spec, options);
   if (extractor->hasTrainedState()) extractor->pretrain(200, 1, 0.01f);
-  const bool stateless = extractor->statelessExtraction();
 
   eedn::EednClassifierConfig config;
   config.inputSize = extractor->featureDim();
@@ -525,12 +524,10 @@ void expectBundleReloadParity(const std::string& spec) {
   EXPECT_EQ(0, std::memcmp(scoresA.data(), scoresB.data(),
                            scoresA.size() * sizeof(float)));
 
-  if (stateless) {
-    const std::vector<float> original = pipeline.scoreAllDegraded(evalWindows);
-    ASSERT_EQ(original.size(), scoresA.size());
-    EXPECT_EQ(0, std::memcmp(original.data(), scoresA.data(),
-                             original.size() * sizeof(float)));
-  }
+  const std::vector<float> original = pipeline.scoreAllDegraded(evalWindows);
+  ASSERT_EQ(original.size(), scoresA.size());
+  EXPECT_EQ(0, std::memcmp(original.data(), scoresA.data(),
+                           original.size() * sizeof(float)));
   std::remove(path.c_str());
 }
 
@@ -549,10 +546,9 @@ TEST(PipelineBundle, ParrotExactReloadsBitwise) {
 }
 
 TEST(PipelineBundle, ParrotStochasticReloadsBitwise) {
-  // The 4-spike parrot codes inputs stochastically: two fresh loads of the
-  // same bundle start from identical extractor state (including the coding
-  // RNG), so they must agree bitwise even though the original in-process
-  // pipeline -- whose RNG advanced during training -- would not.
+  // The 4-spike code is keyed on (seed, pixel position, spike), and the
+  // seed travels in the bundle, so the original pipeline and both reloads
+  // code every window identically.
   expectBundleReloadParity("parrot:4spike");
 }
 

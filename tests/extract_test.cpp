@@ -5,6 +5,7 @@
 // the sequential loop at any thread count.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include "extract/backends.hpp"
 #include "extract/extractor.hpp"
 #include "extract/registry.hpp"
+#include "parrot/parrot.hpp"
 #include "vision/synth.hpp"
 
 namespace pcnn::extract {
@@ -47,11 +49,13 @@ std::vector<vision::Image> texturedWindows(int count, std::uint64_t seed) {
   return windows;
 }
 
-/// Deterministic specs: extraction consumes no randomness, so every path
-/// (standalone, cached-grid, batch at any thread count) must agree bitwise.
-const std::vector<std::string>& deterministicSpecs() {
+/// Every backend's extraction is a pure function of the image -- the
+/// spike-coded parrot included -- so every path (standalone, cached-grid,
+/// batch at any thread count) must agree bitwise.
+const std::vector<std::string>& conformanceSpecs() {
   static const std::vector<std::string> specs = {
-      "hog", "fixedpoint", "napprox", "napprox:64spike", "parrot"};
+      "hog", "fixedpoint", "napprox", "napprox:64spike", "parrot",
+      "parrot:4spike"};
   return specs;
 }
 
@@ -67,7 +71,7 @@ std::string caseName(const std::string& spec, FeatureLayout layout) {
 
 TEST(ExtractorConformance, FeatureDimMatchesActualVectorLength) {
   const vision::Image window = texturedImage(64, 128, 11);
-  for (const auto& spec : deterministicSpecs()) {
+  for (const auto& spec : conformanceSpecs()) {
     for (FeatureLayout layout : bothLayouts()) {
       auto ex = makeExtractor(spec, layout);
       SCOPED_TRACE(caseName(spec, layout));
@@ -87,7 +91,7 @@ TEST(ExtractorConformance, FeatureDimMatchesActualVectorLength) {
 
 TEST(ExtractorConformance, WindowFeaturesMatchesGridPathBitwise) {
   const vision::Image window = texturedImage(64, 128, 23);
-  for (const auto& spec : deterministicSpecs()) {
+  for (const auto& spec : conformanceSpecs()) {
     for (FeatureLayout layout : bothLayouts()) {
       auto ex = makeExtractor(spec, layout);
       SCOPED_TRACE(caseName(spec, layout));
@@ -103,7 +107,7 @@ TEST(ExtractorConformance, GridSlicingMatchesStandaloneSubgrid) {
   // must match assembling the corresponding sub-grid standalone: slicing
   // is pure indexing, independent of where the window sits in the level.
   const vision::Image scene = texturedImage(160, 224, 37);
-  for (const auto& spec : deterministicSpecs()) {
+  for (const auto& spec : conformanceSpecs()) {
     for (FeatureLayout layout : bothLayouts()) {
       auto ex = makeExtractor(spec, layout);
       SCOPED_TRACE(caseName(spec, layout));
@@ -134,7 +138,7 @@ TEST(ExtractorConformance, GridSlicingMatchesStandaloneSubgrid) {
 
 TEST(ExtractorConformance, BatchMatchesSequentialLoopAtAnyThreadCount) {
   const auto windows = texturedWindows(6, 41);
-  for (const auto& spec : deterministicSpecs()) {
+  for (const auto& spec : conformanceSpecs()) {
     for (FeatureLayout layout : bothLayouts()) {
       SCOPED_TRACE(caseName(spec, layout));
       std::vector<std::vector<float>> sequential;
@@ -154,20 +158,48 @@ TEST(ExtractorConformance, BatchMatchesSequentialLoopAtAnyThreadCount) {
   }
 }
 
-TEST(ExtractorConformance, StochasticParrotBatchIsThreadCountIndependent) {
-  // A coding-noise realization depends only on the extractor's RNG stream
-  // position, never on pool scheduling: two fresh identically-seeded
-  // extractors produce the same batch at 1 and at 4 threads.
-  const auto windows = texturedWindows(5, 53);
-  std::vector<std::vector<float>> oneThread;
-  {
-    ThreadCountGuard guard(1);
-    auto ex = makeExtractor("parrot:4spike", FeatureLayout::kFlatCell);
-    oneThread = ex->batchFeatures(windows);
+// The k-spike input code is unbiased: on a large constant image the mean
+// coded value stays within a binomial bound of the pixel value.
+TEST(ParrotSpikeCoding, MeanRateMatchesPixelValue) {
+  const float v = 0.3f;
+  const vision::Image flat(128, 96, v);
+  for (int spikes : {1, 4, 32}) {
+    SCOPED_TRACE(spikes);
+    const vision::Image coded = parrot::codeSpikes(flat, spikes, 77);
+    double sum = 0.0;
+    for (float c : coded.data()) {
+      // Every coded pixel is a whole number of spikes over the window.
+      EXPECT_EQ(c * static_cast<float>(spikes),
+                std::round(c * static_cast<float>(spikes)));
+      sum += c;
+    }
+    const double draws =
+        static_cast<double>(coded.data().size()) * spikes;
+    const double mean = sum / static_cast<double>(coded.data().size());
+    EXPECT_NEAR(mean, v, 5.0 * std::sqrt(v * (1.0 - v) / draws));
   }
-  ThreadCountGuard guard(4);
-  auto ex = makeExtractor("parrot:4spike", FeatureLayout::kFlatCell);
-  EXPECT_EQ(ex->batchFeatures(windows), oneThread);
+}
+
+// Each pixel's code is keyed on its level position, so a crop codes to
+// exactly the pixels of the full image it covers, at any thread count.
+TEST(ParrotSpikeCoding, CropCodesLikeTheFullImage) {
+  const vision::Image scene = texturedImage(96, 80, 5);
+  for (int spikes : {1, 4, 32}) {
+    SCOPED_TRACE(spikes);
+    const vision::Image full = parrot::codeSpikes(scene, spikes, 77);
+    const vision::Image crop = scene.crop(24, 16, 40, 48).crop(3, 5, 30, 30);
+    for (int threads : {1, 4}) {
+      ThreadCountGuard guard(threads);
+      const vision::Image coded = parrot::codeSpikes(crop, spikes, 77);
+      bool same = true;
+      for (int y = 0; y < coded.height(); ++y) {
+        for (int x = 0; x < coded.width(); ++x) {
+          same = same && coded.at(x, y) == full.at(27 + x, 21 + y);
+        }
+      }
+      EXPECT_TRUE(same) << threads << " threads";
+    }
+  }
 }
 
 TEST(ExtractorRegistry, SpecVariantsConstructAndReportMetadata) {

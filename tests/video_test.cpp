@@ -256,6 +256,9 @@ TEST(IncrementalGrid, NapproxParity) { checkIncrementalParity("napprox"); }
 TEST(IncrementalGrid, ParrotExactParity) {
   checkIncrementalParity("parrot:exact");
 }
+TEST(IncrementalGrid, ParrotSpikeCodedParity) {
+  checkIncrementalParity("parrot:4spike");
+}
 
 TEST(IncrementalGrid, UpdateBlocksMatchesPrepareBlocks) {
   auto extractor =
@@ -296,16 +299,15 @@ TEST(IncrementalGrid, RejectsGeometryMismatch) {
 // ----------------------------------------------------------- detectBatch
 
 // With reuse off every frame runs cold, so the burst equals per-frame
-// detect() bitwise for every backend -- stochastic parrot included, whose
-// two cold scans draw its coding RNG in the same order -- at any thread
-// count. Smoothing is requested but must not apply.
+// detect() bitwise for every backend -- spike-coded parrot included -- at
+// any thread count. Smoothing is requested but must not apply.
 TEST(DetectBatch, OffModeMatchesPerFrameDetectAtAnyThreadCount) {
   SyntheticVideo video(smallVideo(2, 31));
   std::vector<Image> frames;
   for (int f = 0; f < 3; ++f) frames.push_back(video.frame(f).image);
   const int restoreThreads = threadCount();
   for (const char* backend :
-       {"hog", "fixedpoint", "napprox", "parrot:exact", "parrot"}) {
+       {"hog", "fixedpoint", "napprox", "parrot:exact", "parrot:4spike"}) {
     for (int threads : {1, 4}) {
       setThreadCount(threads);
       GridDetector batchDetector = makeDetector(backend, false, true);
@@ -358,6 +360,10 @@ TEST(DetectBatch, TemporalMatchesFullRecomputeNapprox) {
 TEST(DetectBatch, TemporalMatchesFullRecomputeParrotExact) {
   checkTemporalParity("parrot:exact");
 }
+// The spike code is keyed on level pixel position, so crops code alike.
+TEST(DetectBatch, TemporalMatchesFullRecomputeParrotSpikeCoded) {
+  checkTemporalParity("parrot:4spike");
+}
 
 // Consecutive frames from different scenes dirty every tile, so each
 // level refreshes through one crop around all of its dirty tile rows.
@@ -368,7 +374,8 @@ TEST(DetectBatch, AllTilesDirtyMatchesDetectAtAnyThreadCount) {
     frames.push_back(SyntheticVideo(smallVideo(2, seed)).frame(0).image);
   }
   const int restoreThreads = threadCount();
-  for (const char* backend : {"hog", "fixedpoint", "napprox", "parrot:exact"}) {
+  for (const char* backend :
+       {"hog", "fixedpoint", "napprox", "parrot:exact", "parrot:4spike"}) {
     for (int threads : {1, 4}) {
       setThreadCount(threads);
       GridDetector temporalDetector = makeDetector(backend, true, false);
@@ -383,6 +390,45 @@ TEST(DetectBatch, AllTilesDirtyMatchesDetectAtAnyThreadCount) {
         expectSameDetections(batch.frames[f].detections,
                              refDetector.detect(frames[f]), backend);
       }
+    }
+  }
+  setThreadCount(restoreThreads);
+}
+
+// Edits away from the frame's top-left corner make every refresh crop sit
+// at a nonzero level offset: one interior patch (one per-rect crop), two
+// far-apart patches (two per-rect crops), then stacked bands (one merged
+// crop). The spike-coded parrot keys its code on level position, so each
+// temporal frame must still equal detect() bitwise at any thread count.
+TEST(DetectBatch, SpikeCodedCropsAwayFromOriginMatchDetect) {
+  const Image base = SyntheticVideo(smallVideo(0, 5)).frame(0).image;
+  const Image other = SyntheticVideo(smallVideo(2, 9)).frame(0).image;
+  auto paste = [&other](Image img, int x0, int y0, int x1, int y1) {
+    for (int y = y0; y < y1; ++y) {
+      for (int x = x0; x < x1; ++x) img.at(x, y) = other.at(x, y);
+    }
+    return img;
+  };
+  std::vector<Image> frames = {base};
+  frames.push_back(paste(frames.back(), 150, 90, 180, 130));
+  frames.push_back(
+      paste(paste(frames.back(), 60, 40, 84, 70), 250, 170, 290, 200));
+  frames.push_back(paste(paste(frames.back(), 100, 60, 240, 90), 100, 92,
+                         240, 120));
+  const int restoreThreads = threadCount();
+  for (int threads : {1, 4}) {
+    setThreadCount(threads);
+    GridDetector temporalDetector = makeDetector("parrot:4spike", true);
+    GridDetector refDetector = makeDetector("parrot:4spike", false);
+    const BatchDetectResult batch = temporalDetector.detectBatch(frames);
+    ASSERT_EQ(batch.frames.size(), frames.size());
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      if (f > 0) {
+        EXPECT_FALSE(batch.frames[f].stats.fullRecompute);
+        EXPECT_GT(batch.frames[f].stats.tilesReused, 0);
+      }
+      expectSameDetections(batch.frames[f].detections,
+                           refDetector.detect(frames[f]), "parrot:4spike");
     }
   }
   setThreadCount(restoreThreads);
