@@ -7,10 +7,12 @@
 //       recomputation, cached window scores.
 // Reports per-backend fps for both against the paper's full-HD 26 fps bar
 // (Table 2), the dirty-tile hit rate, and the reuse speedup; writes
-// BENCH_video.json.
+// BENCH_video.json. Each burst runs kRepeats times on a fresh detector;
+// the times are the median, with the min..max range beside it.
 //
 // Usage: bench_video [outputPath] [frames] [width] [height] [persons]
 //   (the ci.sh smoke runs "bench_video /tmp/out.json 8 320 240 1")
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,8 +47,13 @@ std::function<float(const std::vector<float>&)> randomScorer(int dim) {
   };
 }
 
+/// Bursts per (backend, mode): enough for a median and a spread.
+constexpr int kRepeats = 3;
+
 struct RunResult {
-  double ms = 0.0;
+  double ms = 0.0;  ///< median over the repeats
+  double msMin = 0.0;
+  double msMax = 0.0;
   double fps = 0.0;
   long tilesReused = 0;
   long tilesRecomputed = 0;
@@ -54,13 +61,28 @@ struct RunResult {
   long windowsReused = 0;
 };
 
-RunResult runBurst(core::GridDetector& detector,
+/// Runs the burst kRepeats times through `backend`, each on a fresh
+/// detector (so every repeat starts from a cold temporal cache).
+RunResult runBurst(const std::string& backend,
+                   const core::GridDetectorParams& params,
                    const std::vector<vision::Image>& frames) {
   RunResult r;
-  const auto t0 = Clock::now();
-  const core::BatchDetectResult batch = detector.detectBatch(frames);
-  const auto t1 = Clock::now();
-  r.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  std::vector<double> ms;
+  core::BatchDetectResult batch;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    auto extractor =
+        extract::makeExtractor(backend, extract::FeatureLayout::kBlockNorm);
+    const auto scorer = randomScorer(extractor->featureDim());
+    core::GridDetector detector(params, extractor, scorer);
+    const auto t0 = Clock::now();
+    batch = detector.detectBatch(frames);
+    const auto t1 = Clock::now();
+    ms.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  std::sort(ms.begin(), ms.end());
+  r.ms = ms[ms.size() / 2];
+  r.msMin = ms.front();
+  r.msMax = ms.back();
   r.fps = r.ms > 0.0 ? 1000.0 * static_cast<double>(frames.size()) / r.ms
                      : 0.0;
   // Burst-level rate next to the per-frame detect.frame_fps gauge the
@@ -100,8 +122,10 @@ int main(int argc, char** argv) {
   for (int f = 0; f < numFrames; ++f) {
     frames.push_back(video.frame(f).image);
   }
-  std::printf("video %dx%d, %d frames, %d persons (paper bar: %.0f fps)\n",
-              width, height, numFrames, persons, kPaperFpsBar);
+  std::printf(
+      "video %dx%d, %d frames, %d persons, %d repeats (paper bar: %.0f "
+      "fps)\n",
+      width, height, numFrames, persons, kRepeats, kPaperFpsBar);
 
   const std::vector<std::string> backends = {"hog", "fixedpoint", "napprox",
                                              "parrot"};
@@ -112,22 +136,10 @@ int main(int argc, char** argv) {
     params.scoreThreshold = 1e9f;  // score every window, keep (almost) none
     params.pyramid.maxLevels = 6;
 
-    {
-      core::GridDetectorParams offParams = params;
-      offParams.temporal.enabled = false;  // the full-recompute reference
-      auto extractor = extract::makeExtractor(
-          backends[i], extract::FeatureLayout::kBlockNorm);
-      const auto scorer = randomScorer(extractor->featureDim());
-      core::GridDetector detector(offParams, extractor, scorer);
-      off[i] = runBurst(detector, frames);
-    }
-    {
-      auto extractor = extract::makeExtractor(
-          backends[i], extract::FeatureLayout::kBlockNorm);
-      const auto scorer = randomScorer(extractor->featureDim());
-      core::GridDetector detector(params, extractor, scorer);
-      temporal[i] = runBurst(detector, frames);
-    }
+    core::GridDetectorParams offParams = params;
+    offParams.temporal.enabled = false;  // the full-recompute reference
+    off[i] = runBurst(backends[i], offParams, frames);
+    temporal[i] = runBurst(backends[i], params, frames);
     const long tiles = temporal[i].tilesReused + temporal[i].tilesRecomputed;
     const double hitRate =
         tiles > 0 ? static_cast<double>(temporal[i].tilesReused) / tiles : 0.0;
@@ -149,11 +161,12 @@ int main(int argc, char** argv) {
                "  \"scene\": [%d, %d],\n"
                "  \"frames\": %d,\n"
                "  \"persons\": %d,\n"
+               "  \"repeats\": %d,\n"
                "  \"pyramid_levels\": 6,\n"
                "  \"paper_fps_bar\": %.1f,\n"
                "  \"provenance\": %s,\n"
                "  \"backends\": {\n",
-               width, height, numFrames, persons, kPaperFpsBar,
+               width, height, numFrames, persons, kRepeats, kPaperFpsBar,
                bench::provenanceJson().c_str());
   for (std::size_t i = 0; i < backends.size(); ++i) {
     const long tiles = temporal[i].tilesReused + temporal[i].tilesRecomputed;
@@ -161,12 +174,15 @@ int main(int argc, char** argv) {
         tiles > 0 ? static_cast<double>(temporal[i].tilesReused) / tiles : 0.0;
     std::fprintf(
         out,
-        "    \"%s\": {\"off_ms\": %.2f, \"off_fps\": %.3f, "
-        "\"temporal_ms\": %.2f, \"temporal_fps\": %.3f, "
+        "    \"%s\": {\"off_ms\": %.2f, \"off_ms_range\": [%.2f, %.2f], "
+        "\"off_fps\": %.3f, "
+        "\"temporal_ms\": %.2f, \"temporal_ms_range\": [%.2f, %.2f], "
+        "\"temporal_fps\": %.3f, "
         "\"reuse_speedup\": %.2f, \"tile_hit_rate\": %.4f, "
         "\"tiles_reused\": %ld, \"tiles_recomputed\": %ld, "
         "\"windows_rescored\": %ld, \"windows_reused\": %ld}%s\n",
-        backends[i].c_str(), off[i].ms, off[i].fps, temporal[i].ms,
+        backends[i].c_str(), off[i].ms, off[i].msMin, off[i].msMax,
+        off[i].fps, temporal[i].ms, temporal[i].msMin, temporal[i].msMax,
         temporal[i].fps,
         temporal[i].ms > 0.0 ? off[i].ms / temporal[i].ms : 0.0, hitRate,
         temporal[i].tilesReused, temporal[i].tilesRecomputed,

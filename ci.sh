@@ -186,8 +186,10 @@ echo "bundle smoke: pack + verify + bundle-loaded detection passed"
 
 # Video smoke: bench_video on a tiny burst (8 frames at 320x240) must emit
 # per-frame detect.frame spans over the same scan spans as the detect()
-# smoke above, and actually reuse tiles (nonzero detect.tiles_reused
-# counter) -- the temporal path working end to end, not just compiling.
+# smoke above plus the warm frames' detect.resize, and actually reuse
+# tiles (nonzero detect.tiles_reused counter) and refresh level pixels
+# (nonzero detect.resize_px) -- the temporal path working end to end, not
+# just compiling.
 BV_BIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_video"
 PCNN_TRACE="$OBS_DIR/video_trace.json" \
   PCNN_METRICS="$OBS_DIR/video_metrics.json" \
@@ -198,12 +200,13 @@ import json, os, sys
 trace = json.load(open(sys.argv[1]))
 events = {e["name"] for e in trace["traceEvents"]}
 for name in ("detect.batch", "detect.frame", "detect.blockGrid",
-             *os.environ["SCAN_SPANS"].split()):
+             "detect.resize", *os.environ["SCAN_SPANS"].split()):
     assert name in events, f"missing span {name}: {sorted(events)}"
 counters = json.load(open(sys.argv[2]))["counters"]
 assert counters.get("detect.frames", 0) > 0, counters
 assert counters.get("detect.tiles_reused", 0) > 0, counters
 assert counters.get("detect.tiles_recomputed", 0) > 0, counters
+assert counters.get("detect.resize_px", 0) > 0, counters
 bench = json.load(open(sys.argv[3]))
 assert bench["backends"], bench
 for name, row in bench["backends"].items():

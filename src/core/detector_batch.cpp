@@ -11,8 +11,9 @@
 // Why the reused scan matches a cold scan bitwise (deterministic
 // backends; see DESIGN.md Section 5g for the full argument):
 //  - resizeBilinearInto refreshes level pixels with the exact per-pixel
-//    arithmetic of resizeBilinear, and pixels outside every refreshed
-//    rect were computed from unchanged source pixels;
+//    arithmetic of resizeBilinear (and of buildPyramid's levels), and
+//    pixels outside every refreshed rect were computed from unchanged
+//    source pixels; the refresh runs under detect.resize;
 //  - cell histograms depend only on the cell's pixels plus a 1-px
 //    gradient border, and tryUpdateCellGrid recomputes with one cell of
 //    context (extended to the image border at grid edges, where clamping
@@ -62,6 +63,10 @@ struct ScanMetrics {
   /// separate from the failure-driven detect.level.degraded counter.
   obs::Counter& levelsShed = obs::counter("detect.level.shed");
   obs::Counter& levelsExpired = obs::counter("detect.level.deadline");
+  /// Level pixels refreshed from the live frame on warm frames (dirty-rect
+  /// splices plus whole-level refreshes of invalidated levels), under the
+  /// detect.resize span. Overlapping mapped rects count once per rect.
+  obs::Counter& resizePx = obs::counter("detect.resize_px");
   /// Fraction of tiles served from the temporal cache on the most recent
   /// batch frame, and that frame's instantaneous rate; both are
   /// live-telemetry signals for the streaming exporter.
@@ -482,6 +487,8 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       // extractors also normalize every block exactly once here, and every
       // window then slices them.
       if (!cold) {
+        PCNN_SPAN_ARG("detect.resize", "level", levelIndex);
+        metrics.resizePx.add(static_cast<long>(lc.image.data().size()));
         if (levelIndex == 0) {
           std::memcpy(&lc.image.at(0, 0), frame.data().data(),
                       sizeof(float) *
@@ -521,38 +528,46 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       // those.
       dirtyTiles.assign(static_cast<std::size_t>(tilesAcross) * tilesDown,
                         0);
-      for (const PxRect& sceneRect : sceneDirty) {
-        PxRect r;
-        if (levelIndex == 0) {
-          // Level 0 is a verbatim copy of the scene: splice the rows.
-          r = sceneRect;
-          const float* src = frame.data().data();
-          for (int y = r.y0; y < r.y1; ++y) {
-            std::memcpy(
-                &lc.image.at(r.x0, y),
-                src + static_cast<std::size_t>(y) * frame.width() + r.x0,
-                sizeof(float) * static_cast<std::size_t>(r.x1 - r.x0));
+      if (!sceneDirty.empty()) {
+        PCNN_SPAN_ARG("detect.resize", "level", levelIndex);
+        long refreshedPx = 0;
+        for (const PxRect& sceneRect : sceneDirty) {
+          PxRect r;
+          if (levelIndex == 0) {
+            // Level 0 is a verbatim copy of the scene: splice the rows.
+            r = sceneRect;
+            const float* src = frame.data().data();
+            for (int y = r.y0; y < r.y1; ++y) {
+              std::memcpy(
+                  &lc.image.at(r.x0, y),
+                  src + static_cast<std::size_t>(y) * frame.width() + r.x0,
+                  sizeof(float) * static_cast<std::size_t>(r.x1 - r.x0));
+            }
+          } else {
+            r = mapRectToLevel(sceneRect, frame, lc.image);
+            if (r.x0 >= r.x1 || r.y0 >= r.y1) continue;
+            vision::resizeBilinearInto(frame, lc.image, r.x0, r.y0, r.x1,
+                                       r.y1);
           }
-        } else {
-          r = mapRectToLevel(sceneRect, frame, lc.image);
-          if (r.x0 >= r.x1 || r.y0 >= r.y1) continue;
-          vision::resizeBilinearInto(frame, lc.image, r.x0, r.y0, r.x1,
-                                     r.y1);
-        }
-        // The gradient stencil reads 1 px around a cell, so a changed
-        // pixel dirties every cell within 1 px -- then tiles containing
-        // them.
-        const int cx0 = (r.x0 > 0 ? r.x0 - 1 : 0) / cell;
-        const int cy0 = (r.y0 > 0 ? r.y0 - 1 : 0) / cell;
-        const int cx1 = std::min(cellsX, ceilDiv(r.x1 + 1, cell));
-        const int cy1 = std::min(cellsY, ceilDiv(r.y1 + 1, cell));
-        if (cx0 >= cx1 || cy0 >= cy1) continue;
-        for (int ty = cy0 / kTileCells; ty < ceilDiv(cy1, kTileCells); ++ty) {
-          for (int tx = cx0 / kTileCells; tx < ceilDiv(cx1, kTileCells);
-               ++tx) {
-            dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx] = 1;
+          refreshedPx += static_cast<long>(r.x1 - r.x0) * (r.y1 - r.y0);
+          // The gradient stencil reads 1 px around a cell, so a changed
+          // pixel dirties every cell within 1 px -- then tiles containing
+          // them.
+          const int cx0 = (r.x0 > 0 ? r.x0 - 1 : 0) / cell;
+          const int cy0 = (r.y0 > 0 ? r.y0 - 1 : 0) / cell;
+          const int cx1 = std::min(cellsX, ceilDiv(r.x1 + 1, cell));
+          const int cy1 = std::min(cellsY, ceilDiv(r.y1 + 1, cell));
+          if (cx0 >= cx1 || cy0 >= cy1) continue;
+          for (int ty = cy0 / kTileCells; ty < ceilDiv(cy1, kTileCells);
+               ++ty) {
+            for (int tx = cx0 / kTileCells; tx < ceilDiv(cx1, kTileCells);
+                 ++tx) {
+              dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx] =
+                  1;
+            }
           }
         }
+        metrics.resizePx.add(refreshedPx);
       }
 
       // Merge dirty tiles into per-row cell rects and refresh cells/blocks.

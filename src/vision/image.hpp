@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -47,7 +48,9 @@ class Image {
   const std::vector<float>& data() const { return data_; }
 
   /// Returns the sub-image [x, x+w) x [y, y+h); clamps reads at borders.
-  /// The crop's origin is this image's origin plus (x, y).
+  /// In-bounds columns are copied row by row; only the columns that fall
+  /// outside the image take clamped reads. The crop's origin is this
+  /// image's origin plus (x, y).
   Image crop(int x, int y, int w, int h) const;
 
   /// Position of pixel (0, 0) in the image this one was cropped from
@@ -71,7 +74,12 @@ class Image {
   std::vector<float> data_;
 };
 
-/// Resizes `src` to the exact target size with bilinear interpolation.
+/// Resizes `src` to the exact target size with bilinear interpolation:
+/// destination pixel (x, y) is src.sampleBilinear((x + 0.5) * sx - 0.5,
+/// (y + 0.5) * sy - 0.5) with sx = src.width() / newWidth (likewise sy),
+/// bit for bit. The kernel is separable -- a column table, one horizontal
+/// pass per source row, a vertical blend per destination row -- and runs
+/// on the pool in fixed bands of rows once the rect holds enough pixels.
 Image resizeBilinear(const Image& src, int newWidth, int newHeight);
 
 /// Recomputes only the destination rectangle [x0, x1) x [y0, y1) of `dst`
@@ -81,9 +89,15 @@ Image resizeBilinear(const Image& src, int newWidth, int newHeight);
 /// the corresponding region of a full resizeBilinear(src, dst.width(),
 /// dst.height()) -- the property the temporal detection path relies on to
 /// propagate dirty scene rectangles into pyramid levels without paying a
-/// full per-level resize. The rect is clamped to dst's bounds.
+/// full per-level resize. The rect is clamped to dst's bounds; a rect of
+/// fewer than ~32k pixels runs inline on the calling thread.
 void resizeBilinearInto(const Image& src, Image& dst, int x0, int y0, int x1,
                         int y1);
+
+/// Resizes `src` into every image of `dsts`, each at its own (already
+/// allocated) size, with resizeBilinear's sampling -- in one pool job over
+/// all their row bands, so small images do not each pay a dispatch.
+void resizeBilinearEach(const Image& src, std::span<Image* const> dsts);
 
 /// Converts interleaved 8-bit RGB data to a grayscale Image using the
 /// Rec.601 luma weights. `rgb` must hold width*height*3 bytes.

@@ -24,7 +24,10 @@ struct PyramidParams {
 };
 
 /// Builds a downscaling pyramid: level 0 is the original image, each
-/// subsequent level shrinks by `scaleFactor`.
+/// subsequent level shrinks by `scaleFactor`. Every level below the first
+/// is resizeBilinear(src, w, h) bit for bit; all of them are resized in
+/// one pool job (resizeBilinearEach). Throws std::invalid_argument unless
+/// scaleFactor > 1 (NaN included).
 std::vector<PyramidLevel> buildPyramid(const Image& src,
                                        const PyramidParams& params);
 

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <tuple>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "vision/draw.hpp"
 #include "vision/geometry.hpp"
@@ -68,6 +75,33 @@ TEST(Image, CropTakesSubImage) {
   EXPECT_FLOAT_EQ(sub.at(1, 1), 10.0f);
 }
 
+// Crops hanging off each side of the image (and past two sides, or
+// wholly outside it) read exactly the replicate-edge pixels atClamped does.
+TEST(Image, PartlyOutOfBoundsCropMatchesClampedReads) {
+  Rng rng(11);
+  const Image img = valueNoise(9, 7, 3, 0.5f, 0.4f, rng);
+  const int rects[][4] = {{-3, 2, 6, 3}, {5, -2, 3, 5},  {6, 4, 6, 5},
+                          {2, 5, 4, 6},  {-2, -3, 14, 12}, {12, 9, 3, 2},
+                          {-8, 1, 4, 3}, {0, 0, 9, 7}};
+  for (const auto& r : rects) {
+    SCOPED_TRACE(testing::Message() << r[0] << "," << r[1] << " " << r[2]
+                                    << "x" << r[3]);
+    const Image c = img.crop(r[0], r[1], r[2], r[3]);
+    ASSERT_EQ(c.width(), r[2]);
+    ASSERT_EQ(c.height(), r[3]);
+    EXPECT_EQ(c.originX(), r[0]);
+    EXPECT_EQ(c.originY(), r[1]);
+    for (int y = 0; y < r[3]; ++y) {
+      for (int x = 0; x < r[2]; ++x) {
+        const float want = img.atClamped(r[0] + x, r[1] + y);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(c.at(x, y)),
+                  std::bit_cast<std::uint32_t>(want))
+            << "at " << x << "," << y;
+      }
+    }
+  }
+}
+
 TEST(Image, ClampValuesBoundsRange) {
   Image img(2, 1);
   img.at(0, 0) = -3.0f;
@@ -89,6 +123,121 @@ TEST(Image, ResizeRejectsBadTarget) {
   Image img(10, 10);
   EXPECT_THROW(resizeBilinear(img, 0, 5), std::invalid_argument);
 }
+
+// The resize oracle: every pixel of a resize, by bit pattern, against
+// per-pixel sampleBilinear at resizeBilinear's documented mapping. Run at 1
+// and 4 pool threads; the larger cases are above the kernel's inline floor,
+// so at 4 threads their row bands are split over the pool.
+class ResizeOracle : public testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    saved_ = threadCount();
+    setThreadCount(GetParam());
+  }
+  void TearDown() override { setThreadCount(saved_); }
+
+  static Image noise(int w, int h, std::uint64_t seed) {
+    Rng rng(seed);
+    Image img(w, h);
+    for (float& v : img.data()) v = static_cast<float>(rng.uniform());
+    return img;
+  }
+
+  /// Pixels of dst's [x0, x1) x [y0, y1) that differ from the sampling
+  /// oracle (dst's size sets the mapping).
+  static long mismatches(const Image& src, const Image& dst, int x0, int y0,
+                         int x1, int y1) {
+    const float sx = static_cast<float>(src.width()) / dst.width();
+    const float sy = static_cast<float>(src.height()) / dst.height();
+    long bad = 0;
+    for (int y = y0; y < y1; ++y) {
+      for (int x = x0; x < x1; ++x) {
+        const float want = src.sampleBilinear(
+            (static_cast<float>(x) + 0.5f) * sx - 0.5f,
+            (static_cast<float>(y) + 0.5f) * sy - 0.5f);
+        bad += std::bit_cast<std::uint32_t>(dst.at(x, y)) !=
+               std::bit_cast<std::uint32_t>(want);
+      }
+    }
+    return bad;
+  }
+
+ private:
+  int saved_ = 1;
+};
+
+TEST_P(ResizeOracle, RandomSizesMatchPerPixelSampling) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Mostly small sizes (down- and upscales, 1 px wide or tall images
+    // included), plus every tenth trial large enough to reach the pool.
+    const int maxSide = trial % 10 == 0 ? 700 : 40;
+    int sw = rng.uniformInt(1, maxSide), sh = rng.uniformInt(1, maxSide);
+    int dw = rng.uniformInt(1, maxSide), dh = rng.uniformInt(1, maxSide);
+    if (trial % 7 == 1) sw = 1;
+    if (trial % 7 == 2) sh = 1;
+    if (trial % 7 == 3) dw = 1;
+    if (trial % 7 == 4) dh = 1;
+    const Image src = noise(sw, sh, 100 + trial);
+    const Image dst = resizeBilinear(src, dw, dh);
+    EXPECT_EQ(mismatches(src, dst, 0, 0, dw, dh), 0)
+        << sw << "x" << sh << " -> " << dw << "x" << dh;
+  }
+}
+
+TEST_P(ResizeOracle, SubRectsTouchingEachBorderMatchAndLeaveTheRestAlone) {
+  const float sentinel = -7.0f;
+  for (const auto& [sw, sh, dw, dh] :
+       {std::array{640, 480, 582, 436}, std::array{37, 23, 90, 61}}) {
+    const Image src = noise(sw, sh, 9);
+    // Rects flush with the left, top, right and bottom borders, the whole
+    // image, and one hanging past two borders (clamped to dst).
+    const int rects[][4] = {{0, 30, 200, 300},      {50, 0, 500, 180},
+                            {dw - 90, 40, dw, 400}, {10, dh - 70, 300, dh},
+                            {0, 0, dw, dh},         {-20, -5, 60, 50},
+                            {dw - 30, dh - 20, dw + 40, dh + 9}};
+    for (const auto& r : rects) {
+      SCOPED_TRACE(testing::Message() << sw << "x" << sh << " -> " << dw
+                                      << "x" << dh << " rect " << r[0]
+                                      << "," << r[1] << "," << r[2] << ","
+                                      << r[3]);
+      Image dst(dw, dh, sentinel);
+      resizeBilinearInto(src, dst, r[0], r[1], r[2], r[3]);
+      const int x0 = std::max(0, r[0]), y0 = std::max(0, r[1]);
+      const int x1 = std::min(dw, r[2]), y1 = std::min(dh, r[3]);
+      EXPECT_EQ(mismatches(src, dst, x0, y0, x1, y1), 0);
+      long touched = 0;
+      for (int y = 0; y < dh; ++y) {
+        for (int x = 0; x < dw; ++x) {
+          const bool inside = x >= x0 && x < x1 && y >= y0 && y < y1;
+          touched += !inside && dst.at(x, y) != sentinel;
+        }
+      }
+      EXPECT_EQ(touched, 0);
+    }
+  }
+}
+
+TEST_P(ResizeOracle, PyramidLevelsMatchPerPixelSampling) {
+  PyramidParams full;  // 640x480: every level down to the 64x128 window
+  PyramidParams hd;
+  hd.maxLevels = 6;  // the paper's full-HD analysis
+  for (const auto& [w, h, params] :
+       {std::tuple{640, 480, full}, std::tuple{1920, 1080, hd}}) {
+    const Image src = noise(w, h, 31);
+    const std::vector<PyramidLevel> levels = buildPyramid(src, params);
+    ASSERT_GE(levels.size(), w == 640 ? 14u : 6u);
+    EXPECT_EQ(levels[0].image.data(), src.data());
+    for (std::size_t i = 1; i < levels.size(); ++i) {
+      const Image& level = levels[i].image;
+      EXPECT_EQ(mismatches(src, level, 0, 0, level.width(), level.height()),
+                0)
+          << w << "x" << h << " level " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ResizeOracle, testing::Values(1, 4));
 
 TEST(Image, RgbToGrayUsesLumaWeights) {
   const unsigned char rgb[3] = {255, 0, 0};
@@ -207,6 +356,8 @@ TEST(Pyramid, RejectsNonShrinkingFactor) {
   Image img(100, 100);
   PyramidParams pp;
   pp.scaleFactor = 1.0f;
+  EXPECT_THROW(buildPyramid(img, pp), std::invalid_argument);
+  pp.scaleFactor = std::nanf("");
   EXPECT_THROW(buildPyramid(img, pp), std::invalid_argument);
 }
 
