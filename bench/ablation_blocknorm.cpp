@@ -5,19 +5,21 @@
 // SVM window-classification accuracy with and without L2 block
 // normalization, for the float HoG and the NApprox extractor.
 #include <cstdio>
+#include <functional>
 
 #include "bench_common.hpp"
 #include "hog/hog.hpp"
 #include "napprox/napprox.hpp"
 #include "svm/linear_svm.hpp"
-#include "svm/mining.hpp"
 
 namespace {
 
-double svmValAccuracy(const pcnn::svm::WindowExtractor& extract,
-                      const pcnn::bench::BenchDataset& data,
-                      const std::vector<pcnn::vision::Image>& valWindows,
-                      const std::vector<int>& valLabels) {
+double svmValAccuracy(
+    const std::function<std::vector<float>(const pcnn::vision::Image&)>&
+        extract,
+    const pcnn::bench::BenchDataset& data,
+    const std::vector<pcnn::vision::Image>& valWindows,
+    const std::vector<int>& valLabels) {
   using namespace pcnn;
   std::vector<std::vector<float>> x;
   std::vector<int> y;

@@ -19,6 +19,8 @@
 #include "io/bundle.hpp"
 #include "obs/provenance.hpp"
 #include "tn/engine.hpp"
+#include "vision/pyramid.hpp"
+#include "vision/sliding_window.hpp"
 #include "vision/synth.hpp"
 
 namespace pcnn::bench {
@@ -52,6 +54,23 @@ inline std::string provenanceJson() {
     }
   }
   return obs::provenanceJson(obs::provenance(), extras);
+}
+
+/// Windows a scan with `scan` visits over `scene`, in closed form per
+/// pyramid level: ((w - windowW) / strideX + 1) * ((h - windowH) / strideY
+/// + 1), the count GridDetector and forEachWindowOnGrid scan.
+inline long scanWindowCount(const vision::Image& scene,
+                            const vision::SlidingWindowParams& scan) {
+  vision::PyramidParams pp = scan.pyramid;
+  pp.minWidth = scan.windowWidth;
+  pp.minHeight = scan.windowHeight;
+  long count = 0;
+  for (const vision::PyramidLevel& level : vision::buildPyramid(scene, pp)) {
+    count += static_cast<long>(
+                 (level.image.width() - scan.windowWidth) / scan.strideX + 1) *
+             ((level.image.height() - scan.windowHeight) / scan.strideY + 1);
+  }
+  return count;
 }
 
 /// Prints the provenance line benches emit before their rows.

@@ -1,12 +1,10 @@
 // Full-frame detection benchmark: the cost of scanning one 640x480 scene
-// with the classic HoG + linear scorer at an 8-px stride, comparing
-//   (a) the legacy path -- crop every window and recompute its descriptor
-//       from pixels (each cell recomputed by up to 64 overlapping windows),
-//   (b) the cached-grid path -- one cell grid per pyramid level, windows
+// with the classic HoG + linear scorer at an 8-px stride, measuring
+//   (a) the cached-grid scan -- one cell grid per pyramid level, windows
 //       assembled by slicing it (GridDetector), at 1/2/4 threads,
-//   (c) the cached-grid path for every registered extractor backend on a
-//       smaller scene (the registry walk -- one entry per backend).
-// Emits BENCH_detect.json with wall times and speedups.
+//   (b) the same scan for every registered extractor backend on a smaller
+//       scene (the registry walk -- one entry per backend).
+// Emits BENCH_detect.json with wall times and thread speedups.
 //
 // Usage: bench_detect [outputPath] [repeats]
 #include <chrono>
@@ -21,15 +19,9 @@
 #include "common/rng.hpp"
 #include "core/detector.hpp"
 #include "extract/registry.hpp"
-#include "hog/hog.hpp"
 #include "obs/obs.hpp"
 #include "vision/sliding_window.hpp"
 #include "vision/synth.hpp"
-
-// This bench exists to measure the deprecated brute-force scan against the
-// cached-grid path -- using it here is the point, not an oversight.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace {
 
@@ -75,32 +67,14 @@ int main(int argc, char** argv) {
   Rng rng(42);
   const vision::Image scene = dataset.scene(rng, sceneW, sceneH, 2).image;
 
-  const hog::HogExtractor hog;
   const auto score = randomScorer(3780);  // 7x15x36-float window descriptor
 
   vision::SlidingWindowParams scan;  // 64x128 window, 8-px stride
-  const long numWindows = vision::countWindows(scene, scan);
+  const long numWindows = bench::scanWindowCount(scene, scan);
   std::printf("scene %dx%d, %ld windows at 8-px stride\n", sceneW, sceneH,
               numWindows);
 
-  // (a) Legacy: per-window crop + descriptor recomputation, single thread.
-  long legacyKept = 0;
-  setThreadCount(1);
-  const double legacyMs = bestOfMs(repeats, [&] {
-    legacyKept = 0;
-    vision::forEachWindow(
-        scene, scan,
-        [&](const vision::Image& level, const vision::Rect& inLevel,
-            const vision::Rect&) {
-          const vision::Image window = level.crop(
-              static_cast<int>(inLevel.x), static_cast<int>(inLevel.y),
-              static_cast<int>(inLevel.w), static_cast<int>(inLevel.h));
-          if (score(hog.windowDescriptor(window)) > 1e9f) ++legacyKept;
-        });
-  });
-  std::printf("legacy per-window, 1 thread:  %9.1f ms\n", legacyMs);
-
-  // (b) Cached grids via GridDetector at 1/2/4 threads, same classic-HoG
+  // (a) Cached grids via GridDetector at 1/2/4 threads, classic-HoG block
   // features through the polymorphic extractor layer.
   core::GridDetectorParams params;
   params.scoreThreshold = 1e9f;  // score every window, keep (almost) none
@@ -114,12 +88,12 @@ int main(int argc, char** argv) {
     setThreadCount(threadCounts[i]);
     cachedMs[i] =
         bestOfMs(repeats, [&] { (void)detector.detectRaw(scene).size(); });
-    std::printf("cached grid, %d thread%s:      %9.1f ms  (%.2fx vs legacy)\n",
+    std::printf("cached grid, %d thread%s: %9.1f ms  (%.2fx vs 1 thread)\n",
                 threadCounts[i], threadCounts[i] == 1 ? " " : "s",
-                cachedMs[i], legacyMs / cachedMs[i]);
+                cachedMs[i], cachedMs[0] / cachedMs[i]);
   }
 
-  // (c) Registry walk: every backend through the same cached-grid scan on
+  // (b) Registry walk: every backend through the same cached-grid scan on
   // a smaller scene (NApprox/Parrot cells cost far more than classic HoG).
   const int smallW = 320, smallH = 240;
   Rng smallRng(43);
@@ -127,7 +101,7 @@ int main(int argc, char** argv) {
       dataset.scene(smallRng, smallW, smallH, 1).image;
   vision::SlidingWindowParams smallScan;
   smallScan.pyramid.maxLevels = 2;
-  const long smallWindows = vision::countWindows(smallScene, smallScan);
+  const long smallWindows = bench::scanWindowCount(smallScene, smallScan);
   setThreadCount(1);
   std::printf("\nper-backend cached-grid scan, %dx%d scene, %ld windows, "
               "1 thread:\n",
@@ -148,7 +122,7 @@ int main(int argc, char** argv) {
                 backendMs[i], extractor->featureDim());
   }
 
-  // (d) Bundle row: with PCNN_BUNDLE set, the same cached-grid scan with
+  // (c) Bundle row: with PCNN_BUNDLE set, the same cached-grid scan with
   // the extractor reloaded from the bundle -- the deployment path, timed
   // against the in-process constructions above. The manifest identity also
   // lands in the provenance block (bench::provenanceJson).
@@ -174,7 +148,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // (e) Obs overhead: the hog and fixedpoint rows again with metrics and
+  // (d) Obs overhead: the hog and fixedpoint rows again with metrics and
   // the flight recorder armed (counters, gauges, per-frame histograms and
   // ring writes all live), against the plain rows above. Guards the
   // documented <2% instrumentation budget (DESIGN.md 5c/5h) now that the
@@ -189,7 +163,7 @@ int main(int argc, char** argv) {
     const bool metricsWere = obs::metricsEnabled();
     const bool flightWere = obs::flightEnabled();
     // Back-to-back plain/armed measurement of the same detector with
-    // extra repeats: at ~4 ms per scan, best-of-3 from section (c) has
+    // extra repeats: at ~4 ms per scan, best-of-3 from section (b) has
     // more jitter than the budget being measured.
     const int overheadRepeats = repeats < 10 ? 10 : repeats;
     std::printf("\nobs overhead (metrics + flight recorder on):\n");
@@ -238,21 +212,18 @@ int main(int argc, char** argv) {
                "  \"windows_scanned\": %ld,\n"
                "  \"repeats\": %d,\n"
                "  \"provenance\": %s,\n"
-               "  \"legacy_per_window_1t_ms\": %.2f,\n"
                "  \"cached_grid_1t_ms\": %.2f,\n"
                "  \"cached_grid_2t_ms\": %.2f,\n"
                "  \"cached_grid_4t_ms\": %.2f,\n"
-               "  \"speedup_cached_1t\": %.2f,\n"
-               "  \"speedup_cached_2t\": %.2f,\n"
-               "  \"speedup_cached_4t\": %.2f,\n"
+               "  \"speedup_2t\": %.2f,\n"
+               "  \"speedup_4t\": %.2f,\n"
                "  \"extractor_scene\": [%d, %d],\n"
                "  \"extractor_windows_scanned\": %ld,\n"
                "  \"extractors\": {",
                sceneW, sceneH, numWindows, repeats,
-               bench::provenanceJson().c_str(), legacyMs, cachedMs[0],
-               cachedMs[1], cachedMs[2], legacyMs / cachedMs[0],
-               legacyMs / cachedMs[1], legacyMs / cachedMs[2], smallW, smallH,
-               smallWindows);
+               bench::provenanceJson().c_str(), cachedMs[0], cachedMs[1],
+               cachedMs[2], cachedMs[0] / cachedMs[1],
+               cachedMs[0] / cachedMs[2], smallW, smallH, smallWindows);
   for (std::size_t i = 0; i < names.size(); ++i) {
     std::fprintf(out, "%s\n    \"%s\": {\"cached_grid_1t_ms\": %.2f}",
                  i == 0 ? "" : ",", names[i].c_str(), backendMs[i]);
@@ -294,5 +265,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-#pragma GCC diagnostic pop

@@ -4,11 +4,11 @@
 // inferences/s).
 #include <benchmark/benchmark.h>
 
+#include "bench_common.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/detector.hpp"
 #include "extract/registry.hpp"
-#include "vision/sliding_window.hpp"
 #include "hog/cell_kernels.hpp"
 #include "hog/fixed_point.hpp"
 #include "hog/gradient.hpp"
@@ -20,11 +20,6 @@
 #include "svm/linear_svm.hpp"
 #include "tn/network.hpp"
 #include "vision/synth.hpp"
-
-// The legacy-vs-cached comparison deliberately drives the deprecated
-// brute-force scan.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 namespace {
 
@@ -243,9 +238,9 @@ void BM_TnRun(benchmark::State& state) {
 }
 BENCHMARK(BM_TnRun)->Arg(0)->Arg(1);
 
-// --- Full-frame detection: legacy per-window recomputation vs cached -----
-// per-level cell grids (GridDetector), across thread counts. Same 640x480
-// synthetic scene, classic HoG block descriptors, 8-px stride.
+// --- Full-frame detection: cached per-level cell grids (GridDetector) -----
+// across thread counts. 640x480 synthetic scene, classic HoG block
+// descriptors, 8-px stride.
 
 const vision::Image& benchScene() {
   static const vision::Image scene = [] {
@@ -264,28 +259,6 @@ float benchScore(const std::vector<float>& f) {
   return acc;
 }
 
-void BM_DetectFullFrame_LegacyPerWindow(benchmark::State& state) {
-  setThreadCount(static_cast<int>(state.range(0)));
-  const hog::HogExtractor extractor;
-  vision::SlidingWindowParams scan;
-  long kept = 0;
-  for (auto _ : state) {
-    vision::forEachWindow(
-        benchScene(), scan,
-        [&](const vision::Image& level, const vision::Rect& inLevel,
-            const vision::Rect&) {
-          const vision::Image window = level.crop(
-              static_cast<int>(inLevel.x), static_cast<int>(inLevel.y),
-              static_cast<int>(inLevel.w), static_cast<int>(inLevel.h));
-          if (benchScore(extractor.windowDescriptor(window)) > 1e9f) ++kept;
-        });
-  }
-  benchmark::DoNotOptimize(kept);
-  state.SetItemsProcessed(state.iterations() *
-                          vision::countWindows(benchScene(), scan));
-}
-BENCHMARK(BM_DetectFullFrame_LegacyPerWindow)->Arg(1)->Unit(benchmark::kMillisecond);
-
 void BM_DetectFullFrame_CachedGrid(benchmark::State& state) {
   setThreadCount(static_cast<int>(state.range(0)));
   core::GridDetectorParams params;
@@ -299,7 +272,7 @@ void BM_DetectFullFrame_CachedGrid(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       state.iterations() *
-      vision::countWindows(benchScene(), vision::SlidingWindowParams{}));
+      bench::scanWindowCount(benchScene(), vision::SlidingWindowParams{}));
 }
 BENCHMARK(BM_DetectFullFrame_CachedGrid)
     ->Arg(1)
@@ -330,5 +303,3 @@ void BM_SvmDecision7560(benchmark::State& state) {
 BENCHMARK(BM_SvmDecision7560);
 
 }  // namespace
-
-#pragma GCC diagnostic pop

@@ -8,6 +8,16 @@ cd "$(dirname "$0")"
 
 BUILD_DIR="${1:-build}"
 
+# No deprecation shims: a retired API is deleted, not kept behind
+# [[deprecated]] with its callers silenced by diagnostic pragmas or flags.
+# PCNN_WERROR promotes warnings only in src/, so this grep guards the
+# tests, benches and examples as well.
+if grep -rnE '\[\[deprecated|deprecated-declarations' \
+    src tests bench examples; then
+  echo "ci.sh: deprecation shim found (delete the API instead)"
+  exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S . -DPCNN_WERROR=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
@@ -246,4 +256,4 @@ print(f"serve smoke: {rejected} rejected, {transitions} ladder transitions "
       f"overloaded point shed {overloaded['shed_rate']:.0%}")
 EOF
 
-echo "ci.sh: build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and 4-thread tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video & serve smoke) passed"
+echo "ci.sh: deprecation guard + build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and 4-thread tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video & serve smoke) passed"

@@ -14,9 +14,9 @@ namespace pcnn {
 /// robust deployment must survive: corrupt model files, malformed spec
 /// strings, a backend failing on one pyramid level, a fault-injected
 /// simulator run going off the rails. Callers on the graceful path branch
-/// on ok() and degrade (skip the level, drop the window, fall back);
-/// legacy throwing entry points wrap the try* variants and convert a bad
-/// Status into the exception they always threw.
+/// on ok() and degrade (skip the level, drop the window, fall back). Every
+/// model load and save (tn, svm, eedn, bundles) has only its Status-
+/// returning try* form; a caller that wants an exception calls value().
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,     ///< caller-supplied value failed validation
@@ -76,7 +76,7 @@ class Status {
 /// Either a value or the Status explaining why there is none. Supports
 /// move-only payloads (e.g. std::unique_ptr<tn::Network>). Accessing
 /// value() on an error throws std::runtime_error carrying the status text,
-/// which is exactly what the legacy throwing wrappers want.
+/// for callers that treat a failure as fatal.
 template <typename T>
 class StatusOr {
  public:

@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "eedn/partitioned.hpp"
 #include "eedn/trinary.hpp"
@@ -16,78 +15,6 @@ namespace {
 
 constexpr char kMagic[5] = "PEDN";
 constexpr std::uint32_t kVersion = 2;
-
-// --- v1 whitespace-text reader (legacy files; never written anymore) ----
-
-Status loadTrinaryV1(TrinaryDense& layer, std::istream& in) {
-  std::string tag;
-  int inSize = 0, outSize = 0;
-  if (!(in >> tag >> inSize >> outSize) || tag != "TrinaryDense" ||
-      inSize != layer.inputSize() || outSize != layer.outputSize()) {
-    return Status::DataLoss("loadNetwork: TrinaryDense shape mismatch");
-  }
-  for (float& w : layer.hiddenWeights()) {
-    if (!(in >> w)) {
-      return Status::DataLoss("loadNetwork: truncated weights");
-    }
-    if (!std::isfinite(w)) {
-      return Status::OutOfRange("loadNetwork: non-finite weight");
-    }
-  }
-  for (float& b : layer.biases()) {
-    if (!(in >> b)) {
-      return Status::DataLoss("loadNetwork: truncated biases");
-    }
-    if (!std::isfinite(b)) {
-      return Status::OutOfRange("loadNetwork: non-finite bias");
-    }
-  }
-  return Status::Ok();
-}
-
-Status tryLoadNetworkV1(nn::Sequential& net, std::istream& in) {
-  std::string magic;
-  std::size_t layerCount = 0;
-  if (!(in >> magic >> layerCount) || magic != "pcnn-eedn-v1" ||
-      layerCount != net.layerCount()) {
-    return Status::DataLoss("loadNetwork: bad header or layer count");
-  }
-  for (std::size_t i = 0; i < net.layerCount(); ++i) {
-    nn::Layer& layer = net.layer(i);
-    if (auto* td = dynamic_cast<TrinaryDense*>(&layer)) {
-      if (Status status = loadTrinaryV1(*td, in); !status.ok()) {
-        return status;
-      }
-    } else if (auto* pd = dynamic_cast<PartitionedDense*>(&layer)) {
-      std::string tag;
-      int groups = 0;
-      if (!(in >> tag >> groups) || tag != "PartitionedDense" ||
-          groups != pd->groupCount()) {
-        return Status::DataLoss("loadNetwork: PartitionedDense mismatch");
-      }
-      for (int g = 0; g < groups; ++g) {
-        if (Status status = loadTrinaryV1(pd->mutableGroupLayer(g), in);
-            !status.ok()) {
-          return status;
-        }
-      }
-    } else if (dynamic_cast<SpikingThreshold*>(&layer) != nullptr) {
-      std::string tag;
-      int size = 0;
-      float width = 0.0f;
-      if (!(in >> tag >> size >> width) || tag != "SpikingThreshold" ||
-          size != layer.inputSize()) {
-        return Status::DataLoss("loadNetwork: SpikingThreshold mismatch");
-      }
-    } else {
-      return Status::InvalidArgument(
-          "loadNetwork: unsupported layer type in Eedn network");
-    }
-  }
-  return Status::Ok();
-}
-
-// --- v2 chunked binary over io::Writer/io::Reader ------------------------
 
 void packTrinary(const TrinaryDense& layer, io::Writer& w) {
   w.u32(static_cast<std::uint32_t>(layer.inputSize()));
@@ -123,7 +50,9 @@ Status unpackTrinary(TrinaryDense& layer, io::Reader& r) {
   return Status::Ok();
 }
 
-Status tryLoadNetworkV2(nn::Sequential& net, std::istream& in) {
+}  // namespace
+
+Status tryLoadNetwork(nn::Sequential& net, std::istream& in) {
   io::Reader r(in);
   if (!r.header(kMagic, kVersion).ok()) return r.status();
 
@@ -200,8 +129,6 @@ Status tryLoadNetworkV2(nn::Sequential& net, std::istream& in) {
   return Status::Ok();
 }
 
-}  // namespace
-
 Status trySaveNetwork(const nn::Sequential& net, std::ostream& out) {
   io::Writer w(out);
   w.header(kMagic, kVersion);
@@ -250,56 +177,12 @@ Status trySaveNetworkFile(const nn::Sequential& net,
   return trySaveNetwork(net, out);
 }
 
-Status tryLoadNetwork(nn::Sequential& net, std::istream& in) {
-  if (io::peekMagic(in) == kMagic) return tryLoadNetworkV2(net, in);
-  return tryLoadNetworkV1(net, in);
-}
-
 Status tryLoadNetworkFile(nn::Sequential& net, const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::Unavailable("loadNetworkFile: cannot open " + path);
   }
   return tryLoadNetwork(net, in);
-}
-
-namespace {
-
-/// Legacy save wrappers preserve their historical exception types: an
-/// unsupported layer was always std::invalid_argument, anything else
-/// std::runtime_error.
-void throwForSave(const Status& status) {
-  if (status.code() == StatusCode::kInvalidArgument ||
-      status.code() == StatusCode::kFailedPrecondition) {
-    throw std::invalid_argument(status.message());
-  }
-  throw std::runtime_error(status.toString());
-}
-
-}  // namespace
-
-void saveNetwork(const nn::Sequential& net, std::ostream& out) {
-  if (Status status = trySaveNetwork(net, out); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-void saveNetworkFile(const nn::Sequential& net, const std::string& path) {
-  if (Status status = trySaveNetworkFile(net, path); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-void loadNetwork(nn::Sequential& net, std::istream& in) {
-  if (Status status = tryLoadNetwork(net, in); !status.ok()) {
-    throw std::runtime_error(status.toString());
-  }
-}
-
-void loadNetworkFile(nn::Sequential& net, const std::string& path) {
-  if (Status status = tryLoadNetworkFile(net, path); !status.ok()) {
-    throw std::runtime_error(status.toString());
-  }
 }
 
 }  // namespace pcnn::eedn

@@ -16,11 +16,9 @@ namespace pcnn::eedn {
 /// Hidden (float) weights are stored so that training can resume after a
 /// round trip, not just the trinarized deployment values.
 ///
-/// The current wire format ("PEDN" v2) is a chunked binary container over
-/// the shared io::Writer/io::Reader layer -- one chunk per layer,
-/// bitwise-exact float round trips. The v1 whitespace-text format
-/// ("pcnn-eedn-v1") is still read (the loader sniffs the magic) but no
-/// longer written.
+/// The wire format ("PEDN" v2) is a chunked binary container over the
+/// shared io::Writer/io::Reader layer -- one chunk per layer,
+/// bitwise-exact float round trips.
 
 /// Status-returning save: kInvalidArgument for an unsupported layer type,
 /// kDataLoss on write failure.
@@ -29,22 +27,12 @@ Status trySaveNetworkFile(const nn::Sequential& net, const std::string& path);
 
 /// Bounds-checked load into a pre-built network: every layer tag, shape
 /// and group count is validated against the target structure, truncation
-/// yields kDataLoss and a non-finite stored weight yields kOutOfRange.
+/// or a missing PEDN magic yields kDataLoss and a non-finite stored weight
+/// yields kOutOfRange.
 /// On failure the network may be partially overwritten (layers parsed
 /// before the error keep the loaded values) -- reload or rebuild before
 /// using it.
 Status tryLoadNetwork(nn::Sequential& net, std::istream& in);
 Status tryLoadNetworkFile(nn::Sequential& net, const std::string& path);
-
-/// Legacy throwing wrappers over the try* variants. The save forms throw
-/// std::invalid_argument for an unsupported layer type and
-/// std::runtime_error on write failure; the load forms throw
-/// std::runtime_error carrying the status text.
-void saveNetwork(const nn::Sequential& net, std::ostream& out);
-void saveNetworkFile(const nn::Sequential& net, const std::string& path);
-[[deprecated("use tryLoadNetwork")]] void loadNetwork(nn::Sequential& net,
-                                                      std::istream& in);
-[[deprecated("use tryLoadNetworkFile")]] void loadNetworkFile(
-    nn::Sequential& net, const std::string& path);
 
 }  // namespace pcnn::eedn

@@ -224,18 +224,6 @@ Status Reader::nextChunk(Chunk& chunk, bool& end) {
   return status_;
 }
 
-std::string peekMagic(std::istream& in) {
-  const std::istream::pos_type start = in.tellg();
-  if (start == std::istream::pos_type(-1)) return {};
-  char buf[4];
-  in.read(buf, 4);
-  const std::streamsize got = in.gcount();
-  in.clear();
-  in.seekg(start);
-  if (got != 4) return {};
-  return std::string(buf, 4);
-}
-
 std::uint64_t fnv1a64(const std::string& data, std::uint64_t seed) {
   std::uint64_t hash = seed;
   for (unsigned char c : data) {

@@ -99,12 +99,6 @@ class Reader {
   Status status_;
 };
 
-/// Peeks the first four bytes of a seekable stream (model-format
-/// sniffing: the v2 binary formats are dispatched from the v1 text
-/// parsers by magic). The stream is restored to its starting position;
-/// returns an empty string when fewer than four bytes are available.
-std::string peekMagic(std::istream& in);
-
 /// FNV-1a 64 over a byte string; the bundle content hash.
 std::uint64_t fnv1a64(const std::string& data,
                       std::uint64_t seed = 0xcbf29ce484222325ull);

@@ -7,67 +7,6 @@
 namespace pcnn::svm {
 
 MiningResult trainWithHardNegatives(
-    LinearSvm& svm, const WindowExtractor& extractor,
-    const std::vector<vision::Image>& positiveWindows,
-    const std::vector<vision::Image>& negativeWindows,
-    const std::vector<vision::Image>& negativeScenes,
-    const MiningParams& params) {
-  if (positiveWindows.empty() || negativeWindows.empty()) {
-    throw std::invalid_argument(
-        "trainWithHardNegatives: need both positive and negative windows");
-  }
-  std::vector<std::vector<float>> features;
-  std::vector<int> labels;
-  features.reserve(positiveWindows.size() + negativeWindows.size());
-  for (const auto& window : positiveWindows) {
-    features.push_back(extractor(window));
-    labels.push_back(1);
-  }
-  for (const auto& window : negativeWindows) {
-    features.push_back(extractor(window));
-    labels.push_back(-1);
-  }
-  svm.train(features, labels);
-
-  MiningResult result;
-  for (int round = 0; round < params.rounds; ++round) {
-    int minedThisRound = 0;
-    for (const vision::Image& scene : negativeScenes) {
-      int minedInScene = 0;
-      // Mining wants each window's pixel crop anyway (the extractor runs
-      // per window), so the deprecated brute-force scan is the right tool
-      // here -- the grid path has nothing to amortize.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-      vision::forEachWindow(
-          scene, params.scan,
-          [&](const vision::Image& level, const vision::Rect& inLevel,
-              const vision::Rect&) {
-            if (minedInScene >= params.maxMinedPerScene) return;
-            const vision::Image window =
-                level.crop(static_cast<int>(inLevel.x),
-                           static_cast<int>(inLevel.y),
-                           static_cast<int>(inLevel.w),
-                           static_cast<int>(inLevel.h));
-            std::vector<float> f = extractor(window);
-            if (svm.decision(f) > params.mineThreshold) {
-              features.push_back(std::move(f));
-              labels.push_back(-1);
-              ++minedInScene;
-            }
-          });
-#pragma GCC diagnostic pop
-      minedThisRound += minedInScene;
-    }
-    result.minedNegatives += minedThisRound;
-    if (minedThisRound == 0) break;
-    svm.train(features, labels);
-  }
-  result.finalTrainAccuracy = svm.accuracy(features, labels);
-  return result;
-}
-
-MiningResult trainWithHardNegatives(
     LinearSvm& svm, extract::FeatureExtractor& extractor,
     const std::vector<vision::Image>& positiveWindows,
     const std::vector<vision::Image>& negativeWindows,

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "extract/extractor.hpp"
@@ -10,10 +9,6 @@
 #include "vision/sliding_window.hpp"
 
 namespace pcnn::svm {
-
-/// Extracts a feature descriptor from a detection window.
-using WindowExtractor =
-    std::function<std::vector<float>(const vision::Image&)>;
 
 /// Parameters of the hard-negative mining loop.
 struct MiningParams {
@@ -34,20 +29,13 @@ struct MiningResult {
 /// retrains -- the paper's protocol: "after the training of an SVM model is
 /// completed, we go through negative training images to filter false
 /// positives, to augment the SVM model as negatives" (Sec. 4).
-MiningResult trainWithHardNegatives(
-    LinearSvm& svm, const WindowExtractor& extractor,
-    const std::vector<vision::Image>& positiveWindows,
-    const std::vector<vision::Image>& negativeWindows,
-    const std::vector<vision::Image>& negativeScenes,
-    const MiningParams& params = {});
-
-/// Same protocol against the polymorphic extractor layer: training windows
-/// use windowFromGrid(cellGrid(window), 0, 0) and negative scenes are
-/// scanned over one cached grid per pyramid level
+///
+/// Training windows use windowFromGrid(cellGrid(window), 0, 0) and
+/// negative scenes are scanned over one cached grid per pyramid level
 /// (vision::forEachWindowOnGrid), matching the feature path GridDetector
 /// uses at detection time. The extractor may be stateful (grids are
-/// computed on the calling thread). Requires cell-aligned scan strides
-/// (see forEachWindowOnGrid).
+/// computed on the calling thread). Requires positive, cell-aligned scan
+/// strides and window (see forEachWindowOnGrid).
 MiningResult trainWithHardNegatives(
     LinearSvm& svm, extract::FeatureExtractor& extractor,
     const std::vector<vision::Image>& positiveWindows,

@@ -4,7 +4,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 
 #include "io/io.hpp"
 
@@ -20,38 +19,9 @@ constexpr std::uint32_t kVersion = 2;
 /// that a corrupt dimension field cannot force an absurd allocation.
 constexpr std::uint64_t kMaxModelDim = std::uint64_t{1} << 26;
 
-/// The v1 whitespace-text reader, kept so pre-refactor model files (and
-/// the corrupt-input regression corpus) still load. Never written anymore.
-StatusOr<LinearSvm> tryLoadModelV1(std::istream& in) {
-  std::string magic;
-  std::size_t dim = 0;
-  if (!(in >> magic >> dim) || magic != "pcnn-svm-v1") {
-    return Status::DataLoss("loadModel: bad header (expected pcnn-svm-v1)");
-  }
-  if (dim == 0 || dim > kMaxModelDim) {
-    return Status::OutOfRange("loadModel: weight dimension " +
-                              std::to_string(dim) + " outside 1.." +
-                              std::to_string(kMaxModelDim));
-  }
-  SvmParams params;
-  if (!(in >> params.C >> params.biasScale)) {
-    return Status::DataLoss("loadModel: bad params");
-  }
-  double bias = 0.0;
-  if (!(in >> bias)) return Status::DataLoss("loadModel: bad bias");
-  std::vector<double> weights(dim);
-  for (double& w : weights) {
-    if (!(in >> w)) {
-      return Status::DataLoss("loadModel: truncated weights (expected " +
-                              std::to_string(dim) + ")");
-    }
-  }
-  LinearSvm model(params);
-  model.setModel(std::move(weights), bias);
-  return model;
-}
+}  // namespace
 
-StatusOr<LinearSvm> tryLoadModelV2(std::istream& in) {
+StatusOr<LinearSvm> tryLoadModel(std::istream& in) {
   io::Reader r(in);
   if (!r.header(kMagic, kVersion).ok()) return r.status();
   io::Reader::Chunk chunk;
@@ -88,8 +58,6 @@ StatusOr<LinearSvm> tryLoadModelV2(std::istream& in) {
   return model;
 }
 
-}  // namespace
-
 Status trySaveModel(const LinearSvm& model, std::ostream& out) {
   if (!model.trained()) {
     return Status::FailedPrecondition("saveModel: model is untrained");
@@ -115,56 +83,12 @@ Status trySaveModelFile(const LinearSvm& model, const std::string& path) {
   return trySaveModel(model, out);
 }
 
-StatusOr<LinearSvm> tryLoadModel(std::istream& in) {
-  if (io::peekMagic(in) == kMagic) return tryLoadModelV2(in);
-  return tryLoadModelV1(in);
-}
-
 StatusOr<LinearSvm> tryLoadModelFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::Unavailable("loadModelFile: cannot open " + path);
   }
   return tryLoadModel(in);
-}
-
-namespace {
-
-/// Legacy save wrappers preserve their historical exception types: an
-/// untrained model was always std::invalid_argument, anything else
-/// std::runtime_error.
-void throwForSave(const Status& status) {
-  if (status.code() == StatusCode::kFailedPrecondition ||
-      status.code() == StatusCode::kInvalidArgument) {
-    throw std::invalid_argument(status.message());
-  }
-  throw std::runtime_error(status.toString());
-}
-
-}  // namespace
-
-void saveModel(const LinearSvm& model, std::ostream& out) {
-  if (Status status = trySaveModel(model, out); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-void saveModelFile(const LinearSvm& model, const std::string& path) {
-  if (Status status = trySaveModelFile(model, path); !status.ok()) {
-    throwForSave(status);
-  }
-}
-
-LinearSvm loadModel(std::istream& in) {
-  StatusOr<LinearSvm> loaded = tryLoadModel(in);
-  if (!loaded.ok()) throw std::runtime_error(loaded.status().toString());
-  return std::move(loaded).value();
-}
-
-LinearSvm loadModelFile(const std::string& path) {
-  StatusOr<LinearSvm> loaded = tryLoadModelFile(path);
-  if (!loaded.ok()) throw std::runtime_error(loaded.status().toString());
-  return std::move(loaded).value();
 }
 
 }  // namespace pcnn::svm

@@ -12,31 +12,19 @@ namespace pcnn::svm {
 /// parameters ride along for provenance, a loaded model is inference-only
 /// until retrained).
 ///
-/// The current wire format ("PSVM" v2) is a chunked binary container over
-/// the shared io::Writer/io::Reader layer: bitwise-exact double round
-/// trips, bounds-checked loads. The v1 whitespace-text format
-/// ("pcnn-svm-v1") is still read -- the loader sniffs the magic -- but no
-/// longer written.
+/// The wire format ("PSVM" v2) is a chunked binary container over the
+/// shared io::Writer/io::Reader layer: bitwise-exact double round trips,
+/// bounds-checked loads.
 
 /// Status-returning save: kFailedPrecondition for an untrained model,
 /// kDataLoss on write failure.
 Status trySaveModel(const LinearSvm& model, std::ostream& out);
 Status trySaveModelFile(const LinearSvm& model, const std::string& path);
 
-/// Bounds-checked load (v2 binary or v1 text, dispatched on magic): a
-/// corrupt stream yields kDataLoss, and a header declaring an implausibly
-/// large weight vector yields kOutOfRange before anything is allocated.
+/// Bounds-checked load: a corrupt stream, or one without the PSVM magic,
+/// yields kDataLoss, and a header declaring an implausibly large weight
+/// vector yields kOutOfRange before anything is allocated.
 StatusOr<LinearSvm> tryLoadModel(std::istream& in);
 StatusOr<LinearSvm> tryLoadModelFile(const std::string& path);
-
-/// Legacy throwing wrappers over the try* variants. The save forms throw
-/// std::invalid_argument for an untrained model and std::runtime_error on
-/// write failure; the load forms throw std::runtime_error carrying the
-/// status text.
-void saveModel(const LinearSvm& model, std::ostream& out);
-void saveModelFile(const LinearSvm& model, const std::string& path);
-[[deprecated("use tryLoadModel")]] LinearSvm loadModel(std::istream& in);
-[[deprecated("use tryLoadModelFile")]] LinearSvm loadModelFile(
-    const std::string& path);
 
 }  // namespace pcnn::svm

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <stdexcept>
 
 #include "vision/geometry.hpp"
@@ -18,40 +17,15 @@ struct SlidingWindowParams {
   PyramidParams pyramid;
 };
 
-/// Calls `fn(levelImage, windowRectInLevel, windowRectInOriginal)` for every
-/// window position across all pyramid levels. The original-coordinates rect
-/// is the level rect scaled back by the level's scale factor.
-///
-/// Deprecated: every caller re-crops and re-extracts features one window at
-/// a time, recomputing each cell up to 64x. Use forEachWindowOnGrid (one
-/// grid per level, windows slice it) or core::GridDetector, which adds
-/// parallel scanning, graceful degradation, and the temporal detectBatch
-/// path on top. Kept only as the brute-force oracle the benches compare
-/// the grid paths against.
-[[deprecated(
-    "re-extracts features per window; use forEachWindowOnGrid or "
-    "core::GridDetector")]]
-void forEachWindow(
-    const Image& src, const SlidingWindowParams& params,
-    const std::function<void(const Image&, const Rect&, const Rect&)>& fn);
-
-/// Total number of windows the scan will visit (for budgeting and tests).
-///
-/// Deprecated alongside forEachWindow; grid consumers get the same number
-/// from the level spans ((cellsX - windowCellsX + 1) etc. per level).
-[[deprecated(
-    "companion of forEachWindow; compute spans from the level grids")]]
-long countWindows(const Image& src, const SlidingWindowParams& params);
-
-/// Grid-aware scan: instead of handing each window its pixel crop (which
-/// makes every caller re-extract features a window at a time), the
-/// per-level feature grid is computed ONCE by `gridFn` and every window
-/// over that level reuses it -- the redundancy-elimination the paper's
-/// hardware pipeline is built around (an 8-px stride over 64-px windows
-/// recomputes each cell up to 64x otherwise).
+/// Dense multi-scale window scan over cached feature grids: the per-level
+/// feature grid is computed ONCE by `gridFn` and every window over that
+/// level reuses it -- the redundancy-elimination the paper's hardware
+/// pipeline is built around (an 8-px stride over 64-px windows would
+/// recompute each cell up to 64x if every window re-extracted its crop).
 ///
 /// Requirements: strideX/strideY and the window dimensions must be
-/// multiples of `cellSize`, so that every window lands on a whole cell.
+/// positive multiples of `cellSize`, so that every window lands on a whole
+/// cell and the scan advances; anything else throws std::invalid_argument.
 ///
 /// `gridFn(levelImage)` returns any grid type (e.g. hog::CellGrid or
 /// FixedPointHog::IntCellGrid -- templated so vision stays independent of
@@ -60,12 +34,14 @@ long countWindows(const Image& src, const SlidingWindowParams& params);
 template <typename GridFn, typename WindowFn>
 void forEachWindowOnGrid(const Image& src, const SlidingWindowParams& params,
                          int cellSize, GridFn&& gridFn, WindowFn&& fn) {
-  if (cellSize <= 0 || params.strideX % cellSize != 0 ||
-      params.strideY % cellSize != 0 ||
-      params.windowWidth % cellSize != 0 ||
-      params.windowHeight % cellSize != 0) {
+  const auto aligned = [cellSize](int px) {
+    return px > 0 && px % cellSize == 0;
+  };
+  if (cellSize <= 0 || !aligned(params.strideX) || !aligned(params.strideY) ||
+      !aligned(params.windowWidth) || !aligned(params.windowHeight)) {
     throw std::invalid_argument(
-        "forEachWindowOnGrid: strides and window must be cell-aligned");
+        "forEachWindowOnGrid: strides and window must be positive and "
+        "cell-aligned");
   }
   PyramidParams pp = params.pyramid;
   pp.minWidth = params.windowWidth;

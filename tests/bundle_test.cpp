@@ -188,17 +188,6 @@ TEST(Io, TornChunkHeaderIsDataLoss) {
   EXPECT_FALSE(end);
 }
 
-TEST(Io, PeekMagicRestoresStreamPosition) {
-  std::istringstream in("PCNBrest of the stream");
-  EXPECT_EQ(io::peekMagic(in), "PCNB");
-  std::string word;
-  in >> word;
-  EXPECT_EQ(word, "PCNBrest");  // nothing consumed by the peek
-
-  std::istringstream tiny("ab");
-  EXPECT_EQ(io::peekMagic(tiny), "");
-}
-
 TEST(Io, Fnv1a64IsDeterministicAndHexRenders) {
   const std::uint64_t h1 = io::fnv1a64("partitioned");
   EXPECT_EQ(h1, io::fnv1a64("partitioned"));
@@ -287,57 +276,45 @@ TEST(Bundle, ManifestTypedAccessors) {
   EXPECT_EQ(manifest.find("absent"), nullptr);
 }
 
-// --- v1 text compatibility through the shared try* path -------------------
+// --- Only the v2 binary formats load --------------------------------------
 
-TEST(FormatCompat, SvmV1TextStillLoads) {
+// The retired v1 whitespace-text formats fail the binary header like any
+// other foreign stream: kDataLoss naming the expected magic.
+
+TEST(FormatCompat, SvmV1TextIsDataLoss) {
   std::istringstream in("pcnn-svm-v1 2\n1.0 1.0\n0.5\n0.25 -0.75\n");
-  StatusOr<svm::LinearSvm> loaded = svm::tryLoadModel(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-  ASSERT_EQ(loaded.value().weights().size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded.value().weights()[0], 0.25);
-  EXPECT_DOUBLE_EQ(loaded.value().weights()[1], -0.75);
-
-  // And the v1-loaded model re-saves as v2 binary, which round trips.
-  std::stringstream v2;
-  ASSERT_TRUE(svm::trySaveModel(loaded.value(), v2).ok());
-  EXPECT_EQ(io::peekMagic(v2), "PSVM");
-  StatusOr<svm::LinearSvm> again = svm::tryLoadModel(v2);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().weights(), loaded.value().weights());
+  const StatusOr<svm::LinearSvm> loaded = svm::tryLoadModel(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("bad magic (expected PSVM)"),
+            std::string::npos)
+      << loaded.status().toString();
 }
 
-TEST(FormatCompat, TnV1TextStillLoads) {
+TEST(FormatCompat, TnV1TextIsDataLoss) {
   std::istringstream in("pcnn-tn-v1 1\ncore 0\nconn 0 2 3 5\nendcore\n");
-  StatusOr<std::unique_ptr<tn::Network>> loaded = tn::tryLoadModel(in);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-  const tn::Network& net =
-      static_cast<const tn::Network&>(*loaded.value());
-  ASSERT_EQ(net.coreCount(), 1);
-  EXPECT_TRUE(net.core(0).connection(0, 3));
-  EXPECT_TRUE(net.core(0).connection(0, 5));
-  EXPECT_FALSE(net.core(0).connection(0, 4));
-
-  // v1-loaded model re-saves as v2 binary and keeps the crossbar.
-  std::stringstream v2;
-  ASSERT_TRUE(tn::trySaveModel(*loaded.value(), v2).ok());
-  EXPECT_EQ(io::peekMagic(v2), "PTNM");
-  StatusOr<std::unique_ptr<tn::Network>> again = tn::tryLoadModel(v2);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(static_cast<const tn::Network&>(*again.value())
-                  .core(0)
-                  .connection(0, 5));
+  const StatusOr<std::unique_ptr<tn::Network>> loaded = tn::tryLoadModel(in);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("bad magic (expected PTNM)"),
+            std::string::npos)
+      << loaded.status().toString();
 }
 
-TEST(FormatCompat, EednV1TextStillLoads) {
+TEST(FormatCompat, EednV1TextIsDataLoss) {
   pcnn::Rng rng(11);
   nn::Sequential net;
   net.add(std::make_unique<eedn::TrinaryDense>(2, 1, rng));
+  const auto& layer = dynamic_cast<eedn::TrinaryDense&>(net.layer(0));
+  const std::vector<float> weightsBefore = layer.hiddenWeights();
   std::istringstream in("pcnn-eedn-v1 1\nTrinaryDense 2 1\n0.5 -0.5\n0.25\n");
   const Status status = eedn::tryLoadNetwork(net, in);
-  ASSERT_TRUE(status.ok()) << status.toString();
-  const auto& layer = dynamic_cast<eedn::TrinaryDense&>(net.layer(0));
-  EXPECT_EQ(layer.hiddenWeights(), (std::vector<float>{0.5f, -0.5f}));
-  EXPECT_EQ(layer.biases(), (std::vector<float>{0.25f}));
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("bad magic (expected PEDN)"),
+            std::string::npos)
+      << status.toString();
+  // Rejected at the header: no layer was touched.
+  EXPECT_EQ(layer.hiddenWeights(), weightsBefore);
 }
 
 TEST(FormatCompat, UnknownChunksAreSkipped) {

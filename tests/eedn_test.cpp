@@ -362,7 +362,7 @@ TEST(Serialize, RoundTripPreservesOutputs) {
 TEST(Serialize, ShapeMismatchRejected) {
   nn::Sequential original = makeSerializableNet(1);
   std::stringstream buffer;
-  saveNetwork(original, buffer);
+  ASSERT_TRUE(trySaveNetwork(original, buffer).ok());
 
   pcnn::Rng rng(2);
   nn::Sequential different;
@@ -374,7 +374,7 @@ TEST(Serialize, ShapeMismatchRejected) {
 TEST(Serialize, TruncatedStreamRejected) {
   nn::Sequential original = makeSerializableNet(3);
   std::stringstream buffer;
-  saveNetwork(original, buffer);
+  ASSERT_TRUE(trySaveNetwork(original, buffer).ok());
   const std::string text = buffer.str();
   std::stringstream truncated(text.substr(0, text.size() / 2));
   nn::Sequential target = makeSerializableNet(4);
@@ -382,27 +382,13 @@ TEST(Serialize, TruncatedStreamRejected) {
             pcnn::StatusCode::kDataLoss);
 }
 
-// The deprecated throwing wrappers stay covered: existing callers rely on
-// their exception contract until they migrate to the try* forms.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Serialize, LegacyLoadWrapperThrows) {
-  nn::Sequential original = makeSerializableNet(1);
-  std::stringstream buffer;
-  saveNetwork(original, buffer);
-  pcnn::Rng rng(2);
-  nn::Sequential different;
-  different.add(std::make_unique<TrinaryDense>(20, 5, rng));
-  EXPECT_THROW(loadNetwork(different, buffer), std::runtime_error);
-}
-#pragma GCC diagnostic pop
-
 TEST(Serialize, UnsupportedLayerRejected) {
   pcnn::Rng rng(5);
   nn::Sequential net;
   net.add(std::make_unique<nn::Dense>(4, 2, rng));
   std::stringstream buffer;
-  EXPECT_THROW(saveNetwork(net, buffer), std::invalid_argument);
+  EXPECT_EQ(trySaveNetwork(net, buffer).code(),
+            pcnn::StatusCode::kInvalidArgument);
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -251,22 +251,42 @@ TEST(Integration, HardNegativeMiningReducesSceneFalsePositives) {
     pos.push_back(synth.positiveWindow(rng));
     neg.push_back(synth.negativeWindow(rng));
   }
+  // Person-free scenes, each with a person-like decoy pasted on a
+  // cell-aligned scan position (cell 4, 4 of the full-resolution level).
+  const int decoyX = 32, decoyY = 32;
   for (int i = 0; i < 2; ++i) {
-    negScenes.push_back(synth.scene(rng, 192, 192, 0).image);
+    vision::Image scene = synth.scene(rng, 192, 192, 0).image;
+    const vision::Image decoy = synth.positiveWindow(rng);
+    for (int y = 0; y < decoy.height(); ++y) {
+      for (int x = 0; x < decoy.width(); ++x) {
+        scene.at(decoyX + x, decoyY + y) = decoy.at(x, y);
+      }
+    }
+    negScenes.push_back(std::move(scene));
   }
-  const hog::HogExtractor extractor;
-  auto fn = [&extractor](const vision::Image& w) {
-    return extractor.windowDescriptor(w);
-  };
-  svm::LinearSvm model;
+  const auto extractor =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
   svm::MiningParams params;
   params.scan.strideX = 16;
   params.scan.strideY = 16;
   params.scan.pyramid.maxLevels = 2;
+
+  svm::LinearSvm baseline;
+  svm::MiningParams noMining = params;
+  noMining.rounds = 0;
+  trainWithHardNegatives(baseline, *extractor, pos, neg, negScenes, noMining);
+
+  svm::LinearSvm model;
   const auto result =
-      trainWithHardNegatives(model, fn, pos, neg, negScenes, params);
-  EXPECT_GE(result.minedNegatives, 0);
+      trainWithHardNegatives(model, *extractor, pos, neg, negScenes, params);
+  EXPECT_GT(result.minedNegatives, 0);
   EXPECT_GT(result.finalTrainAccuracy, 0.9);
+
+  // The decoy window is one of the mined false positives: retraining must
+  // push its score down.
+  const std::vector<float> decoyFeatures = extractor->windowFromGrid(
+      extractor->cellGrid(negScenes[0]), decoyX / 8, decoyY / 8);
+  EXPECT_LT(model.decision(decoyFeatures), baseline.decision(decoyFeatures));
 }
 
 }  // namespace

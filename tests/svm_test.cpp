@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "extract/registry.hpp"
 #include "svm/linear_svm.hpp"
 #include "svm/mining.hpp"
 #include "svm/serialize.hpp"
@@ -110,20 +111,16 @@ TEST(Serialize, RoundTripPreservesDecisions) {
 TEST(Serialize, UntrainedModelRejected) {
   LinearSvm model;
   std::stringstream buffer;
-  EXPECT_THROW(saveModel(model, buffer), std::invalid_argument);
   EXPECT_EQ(trySaveModel(model, buffer).code(),
             pcnn::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(buffer.str().empty());
 }
 
-// The deprecated throwing wrappers stay covered: existing callers rely on
-// their exception contract until they migrate to the try* forms.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Serialize, BadHeaderThrows) {
+TEST(Serialize, BadHeaderIsDataLoss) {
   std::stringstream buffer("not-a-model 3");
-  EXPECT_THROW(loadModel(buffer), std::runtime_error);
+  EXPECT_EQ(tryLoadModel(buffer).status().code(),
+            pcnn::StatusCode::kDataLoss);
 }
-#pragma GCC diagnostic pop
 
 TEST(Serialize, FileRoundTrip) {
   LinearSvm model;
@@ -138,20 +135,20 @@ TEST(Serialize, FileRoundTrip) {
 
 TEST(Mining, RequiresBothClasses) {
   LinearSvm svm;
-  auto extractor = [](const vision::Image& img) { return img.data(); };
-  EXPECT_THROW(
-      trainWithHardNegatives(svm, extractor, {}, {vision::Image(2, 2)}, {}),
-      std::invalid_argument);
+  const auto extractor = extract::makeExtractor("hog");
+  EXPECT_THROW(trainWithHardNegatives(svm, *extractor, {},
+                                      {vision::Image(64, 128)}, {}),
+               std::invalid_argument);
 }
 
 TEST(Mining, MinesFalsePositivesAndImproves) {
-  // Tiny synthetic setup: features are 8x16 windows flattened; positives
-  // are bright-centre windows.
+  // Tiny synthetic setup: 16x32 windows (2x4 HoG cells, flat-cell
+  // features); positives carry a bright upright bar, negatives a faint one.
   pcnn::Rng rng(5);
   auto makeWindow = [&](bool positive) {
-    vision::Image img(8, 16, 0.2f);
-    for (int y = 4; y < 12; ++y) {
-      for (int x = 2; x < 6; ++x) {
+    vision::Image img(16, 32, 0.2f);
+    for (int y = 8; y < 24; ++y) {
+      for (int x = 4; x < 12; ++x) {
         img.at(x, y) = positive ? 0.9f : 0.25f;
       }
     }
@@ -167,12 +164,12 @@ TEST(Mining, MinesFalsePositivesAndImproves) {
   // by construction the initial SVM scores them high, so mining must find
   // and absorb them.
   for (int i = 0; i < 2; ++i) {
-    vision::Image scene(32, 48, 0.2f);
+    vision::Image scene(64, 96, 0.2f);
     const vision::Image decoy = makeWindow(true);
-    // On the scan grid so the initial model is guaranteed to fire on it.
-    for (int y = 0; y < 16; ++y) {
-      for (int x = 0; x < 8; ++x) {
-        scene.at(8 + x, 16 + y) = decoy.at(x, y);
+    // On a cell-aligned scan position so the initial model fires on it.
+    for (int y = 0; y < 32; ++y) {
+      for (int x = 0; x < 16; ++x) {
+        scene.at(16 + x, 32 + y) = decoy.at(x, y);
       }
     }
     scenes.push_back(scene);
@@ -180,43 +177,39 @@ TEST(Mining, MinesFalsePositivesAndImproves) {
 
   MiningParams params;
   params.mineThreshold = -0.5f;  // mine near-boundary windows too
-  params.scan.windowWidth = 8;
-  params.scan.windowHeight = 16;
-  params.scan.strideX = 4;
-  params.scan.strideY = 4;
-  params.scan.pyramid.minWidth = 8;
-  params.scan.pyramid.minHeight = 16;
+  params.scan.windowWidth = 16;
+  params.scan.windowHeight = 32;
+  params.scan.strideX = 8;
+  params.scan.strideY = 8;
   params.scan.pyramid.maxLevels = 1;
-  auto extractor = [](const vision::Image& img) { return img.data(); };
+  extract::ExtractorOptions options;
+  options.windowCellsX = 2;
+  options.windowCellsY = 4;
+  const auto extractor = extract::makeExtractor("hog", options);
 
   // Baseline without mining for comparison.
   LinearSvm baseline;
   MiningParams noMining = params;
   noMining.rounds = 0;
-  trainWithHardNegatives(baseline, extractor, pos, neg, scenes, noMining);
+  trainWithHardNegatives(baseline, *extractor, pos, neg, scenes, noMining);
 
   LinearSvm svm;
   const MiningResult result =
-      trainWithHardNegatives(svm, extractor, pos, neg, scenes, params);
+      trainWithHardNegatives(svm, *extractor, pos, neg, scenes, params);
   EXPECT_GT(result.minedNegatives, 0);
   EXPECT_GT(result.finalTrainAccuracy, 0.8);
 
   // Mining must lower the scene windows' decision values overall.
   auto maxSceneScore = [&](const LinearSvm& model) {
     double best = -1e9;
-    // Deliberately the deprecated per-crop scan: mining's own loop.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    vision::forEachWindow(
-        scenes[0], params.scan,
-        [&](const vision::Image& level, const vision::Rect& r,
-            const vision::Rect&) {
-          const vision::Image w =
-              level.crop(static_cast<int>(r.x), static_cast<int>(r.y),
-                         static_cast<int>(r.w), static_cast<int>(r.h));
-          best = std::max(best, model.decision(extractor(w)));
+    vision::forEachWindowOnGrid(
+        scenes[0], params.scan, extractor->cellSize(),
+        [&](const vision::Image& level) { return extractor->cellGrid(level); },
+        [&](const vision::Image&, const hog::CellGrid& grid, int cx0, int cy0,
+            const vision::Rect&, const vision::Rect&) {
+          best = std::max(best, model.decision(
+                                    extractor->windowFromGrid(grid, cx0, cy0)));
         });
-#pragma GCC diagnostic pop
     return best;
   };
   EXPECT_LT(maxSceneScore(svm), maxSceneScore(baseline));

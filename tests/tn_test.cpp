@@ -310,21 +310,19 @@ TEST(ModelIo, PreservesConfigurationFields) {
 TEST(ModelIo, BadInputRejected) {
   std::stringstream bad("wrong-magic 1");
   EXPECT_EQ(tryLoadModel(bad).status().code(), pcnn::StatusCode::kDataLoss);
-  std::stringstream truncated("pcnn-tn-v1 1\ncore 0\nconn 0 3 1 2");
-  EXPECT_FALSE(tryLoadModel(truncated).ok());
-}
 
-// The deprecated throwing wrappers stay covered: existing callers rely on
-// their exception contract until they migrate to the try* forms.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ModelIo, LegacyLoadWrapperThrows) {
-  std::stringstream bad("wrong-magic 1");
-  EXPECT_THROW(loadModel(bad), std::runtime_error);
-  std::stringstream truncated("pcnn-tn-v1 1\ncore 0\nconn 0 3 1 2");
-  EXPECT_THROW(loadModel(truncated), std::runtime_error);
+  // A valid model cut mid-stream is kDataLoss, never a partial network.
+  Network net(1);
+  const int c0 = net.addCore();
+  net.core(c0).setConnection(0, 1, true);
+  net.core(c0).setConnection(0, 2, true);
+  std::stringstream buffer;
+  ASSERT_TRUE(trySaveModel(net, buffer).ok());
+  const std::string bytes = buffer.str();
+  std::stringstream truncated(bytes.substr(0, bytes.size() - 3));
+  EXPECT_EQ(tryLoadModel(truncated).status().code(),
+            pcnn::StatusCode::kDataLoss);
 }
-#pragma GCC diagnostic pop
 
 TEST(ModelIo, FileRoundTrip) {
   Network net(1);

@@ -361,35 +361,87 @@ TEST(Pyramid, RejectsNonShrinkingFactor) {
   EXPECT_THROW(buildPyramid(img, pp), std::invalid_argument);
 }
 
-// The deprecated brute-force scan stays covered until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// forEachWindowOnGrid over a stand-in grid: these tests pin the scan
+// geometry, so the per-level grid is never read.
+int noGrid(const Image&) { return 0; }
 
 TEST(SlidingWindow, CountMatchesClosedForm) {
   Image img(128, 256, 0.0f);
   SlidingWindowParams params;
   params.pyramid.maxLevels = 1;  // single level
-  const long expected =
-      ((128 - 64) / 8 + 1) * ((256 - 128) / 8 + 1);
-  EXPECT_EQ(countWindows(img, params), expected);
+  long count = 0;
+  forEachWindowOnGrid(img, params, 8, noGrid,
+                      [&](const Image&, int, int, int, const Rect&,
+                          const Rect&) { ++count; });
+  const long expected = ((128 - 64) / 8 + 1) * ((256 - 128) / 8 + 1);
+  EXPECT_EQ(count, expected);
 }
 
 TEST(SlidingWindow, OriginalCoordinatesScaled) {
   Image img(141, 282, 0.0f);  // second level ~128x256
   SlidingWindowParams params;
   bool sawScaled = false;
-  forEachWindow(img, params,
-                [&](const Image&, const Rect& inLevel, const Rect& inOrig) {
-                  // Restrict to level 1 (level 2 windows scale by 1.21).
-                  if (inOrig.w > 64.5f && inOrig.w < 75.0f) {
-                    sawScaled = true;
-                    EXPECT_NEAR(inOrig.w / inLevel.w, 1.1f, 0.02f);
-                  }
-                });
+  forEachWindowOnGrid(
+      img, params, 8, noGrid,
+      [&](const Image&, int, int cx0, int cy0, const Rect& inLevel,
+          const Rect& inOrig) {
+        EXPECT_FLOAT_EQ(inLevel.x, cx0 * 8.0f);
+        EXPECT_FLOAT_EQ(inLevel.y, cy0 * 8.0f);
+        // Restrict to level 1 (level 2 windows scale by 1.21).
+        if (inOrig.w > 64.5f && inOrig.w < 75.0f) {
+          sawScaled = true;
+          EXPECT_NEAR(inOrig.w / inLevel.w, 1.1f, 0.02f);
+        }
+      });
   EXPECT_TRUE(sawScaled);
 }
 
-#pragma GCC diagnostic pop
+TEST(SlidingWindow, RejectsNonCellAlignedScan) {
+  Image img(128, 256, 0.0f);
+  const auto scanWith = [&](const SlidingWindowParams& params) {
+    forEachWindowOnGrid(img, params, 8, noGrid,
+                        [](const Image&, int, int, int, const Rect&,
+                           const Rect&) {});
+  };
+  SlidingWindowParams params;
+  params.strideX = 4;
+  EXPECT_THROW(scanWith(params), std::invalid_argument);
+  params = SlidingWindowParams{};
+  params.windowHeight = 100;
+  EXPECT_THROW(scanWith(params), std::invalid_argument);
+}
+
+TEST(SlidingWindow, RejectsNonPositiveStrideOrWindow) {
+  // A zero or negative stride never advances the scan; the window visitor
+  // bails out after a bound so that a missing check fails instead of
+  // scanning without end.
+  Image img(128, 256, 0.0f);
+  const auto scanWith = [&](const SlidingWindowParams& params) {
+    long visited = 0;
+    forEachWindowOnGrid(
+        img, params, 8, noGrid,
+        [&](const Image&, int, int, int, const Rect&, const Rect&) {
+          if (++visited > 100000) {
+            throw std::runtime_error("window scan does not advance");
+          }
+        });
+  };
+  for (int bad : {0, -8}) {
+    SlidingWindowParams params;
+    params.pyramid.maxLevels = 1;
+    params.strideX = bad;
+    EXPECT_THROW(scanWith(params), std::invalid_argument) << bad;
+    params.strideX = 8;
+    params.strideY = bad;
+    EXPECT_THROW(scanWith(params), std::invalid_argument) << bad;
+    params.strideY = 8;
+    params.windowWidth = bad;
+    EXPECT_THROW(scanWith(params), std::invalid_argument) << bad;
+    params.windowWidth = 64;
+    params.windowHeight = bad;
+    EXPECT_THROW(scanWith(params), std::invalid_argument) << bad;
+  }
+}
 
 TEST(Pgm, RoundTrip) {
   Image img(16, 8);
