@@ -48,7 +48,7 @@ std::function<float(const std::vector<float>&)> randomScorer(int dim) {
 }
 
 /// Bursts per (backend, mode): enough for a median and a spread.
-constexpr int kRepeats = 3;
+constexpr int kRepeats = 5;
 
 struct RunResult {
   double ms = 0.0;  ///< median over the repeats

@@ -197,9 +197,11 @@ echo "bundle smoke: pack + verify + bundle-loaded detection passed"
 # Video smoke: bench_video on a tiny burst (8 frames at 320x240) must emit
 # per-frame detect.frame spans over the same scan spans as the detect()
 # smoke above plus the warm frames' detect.resize, and actually reuse
-# tiles (nonzero detect.tiles_reused counter) and refresh level pixels
-# (nonzero detect.resize_px) -- the temporal path working end to end, not
-# just compiling.
+# tiles (nonzero detect.tiles_reused counter), refresh level pixels
+# (nonzero detect.resize_px) and keep cached window scores (nonzero
+# detect.windows_reused, so a regression that silently rescores every
+# window fails) -- the temporal path working end to end, not just
+# compiling.
 BV_BIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_video"
 PCNN_TRACE="$OBS_DIR/video_trace.json" \
   PCNN_METRICS="$OBS_DIR/video_metrics.json" \
@@ -217,13 +219,40 @@ assert counters.get("detect.frames", 0) > 0, counters
 assert counters.get("detect.tiles_reused", 0) > 0, counters
 assert counters.get("detect.tiles_recomputed", 0) > 0, counters
 assert counters.get("detect.resize_px", 0) > 0, counters
+assert counters.get("detect.windows_reused", 0) > 0, counters
 bench = json.load(open(sys.argv[3]))
 assert bench["backends"], bench
 for name, row in bench["backends"].items():
     assert row["temporal_fps"] > 0, (name, row)
 print("video smoke: detect.frame spans + tile reuse counters present "
       f"(reused={counters['detect.tiles_reused']}, "
-      f"recomputed={counters['detect.tiles_recomputed']})")
+      f"recomputed={counters['detect.tiles_recomputed']}, "
+      f"windows reused={counters['detect.windows_reused']})")
+EOF
+
+# Doc-number check: every fps figure in EXPERIMENTS.md's full-HD video
+# table must equal BENCH_video.json's value rounded to two decimals, so a
+# regenerated benchmark cannot leave the quoted numbers behind.
+python3 - EXPERIMENTS.md BENCH_video.json <<'EOF'
+import json, sys
+backends = json.load(open(sys.argv[2]))["backends"]
+lines = open(sys.argv[1]).read().splitlines()
+header = "| Backend | Off (fps) | Temporal (fps) |"
+start = next(i for i, l in enumerate(lines) if l.startswith(header))
+rows = {}
+for line in lines[start + 2:]:
+    if not line.startswith("|"):
+        break
+    cells = [c.strip() for c in line.strip("|").split("|")]
+    rows[cells[0]] = cells
+assert sorted(rows) == sorted(backends), (sorted(rows), sorted(backends))
+for name, cells in rows.items():
+    for col, key in ((1, "off_fps"), (2, "temporal_fps")):
+        quoted, measured = cells[col], f"{backends[name][key]:.2f}"
+        assert quoted == measured, \
+            f"EXPERIMENTS.md {name} {key} {quoted} != BENCH_video.json {measured}"
+print(f"doc numbers: {2 * len(rows)} EXPERIMENTS.md fps figures match "
+      "BENCH_video.json")
 EOF
 
 # Serve smoke: bench_serve at a heavily overloaded point with the metrics
@@ -256,4 +285,4 @@ print(f"serve smoke: {rejected} rejected, {transitions} ladder transitions "
       f"overloaded point shed {overloaded['shed_rate']:.0%}")
 EOF
 
-echo "ci.sh: deprecation guard + build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and 4-thread tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video & serve smoke) passed"
+echo "ci.sh: deprecation guard + build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and 4-thread tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video & serve smoke + doc-number check) passed"

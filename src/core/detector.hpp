@@ -80,6 +80,9 @@ struct BatchOptions {
 struct FrameStats {
   long tilesReused = 0;
   long tilesRecomputed = 0;
+  /// Windows scored: all of them on a cold level; on a warm one the
+  /// windows whose cell footprint holds a cell whose histogram bits
+  /// changed, plus windows retried after their scoring threw.
   long windowsRescored = 0;
   long windowsReused = 0;
   bool fullRecompute = false;

@@ -3,10 +3,12 @@
 // date with a frame and emits its pre-NMS detections. detectRaw() (and so
 // detect()) runs one cold frame on a throwaway cache, computing every level
 // in full. detectBatch() runs a burst on the detector-owned cache: each
-// warm frame diffs against the previous one at tile granularity and only
-// the dirty tiles recompute their cell histograms, affected block
-// normalizations, and window scores. With temporal reuse off, every batch
-// frame runs cold exactly like detect().
+// warm frame diffs against the previous one at tile granularity, only the
+// dirty tiles recompute their cell histograms, and what changed then
+// propagates at cell granularity: only the blocks reading a cell whose
+// histogram bits changed are re-normalized, and only the windows whose
+// cell footprint holds such a cell are rescored. With temporal reuse off,
+// every batch frame runs cold exactly like detect().
 //
 // Why the reused scan matches a cold scan bitwise (deterministic
 // backends; see DESIGN.md Section 5g for the full argument):
@@ -17,17 +19,21 @@
 //  - cell histograms depend only on the cell's pixels plus a 1-px
 //    gradient border, and tryUpdateCellGrid recomputes with one cell of
 //    context (extended to the image border at grid edges, where clamping
-//    then behaves identically);
-//  - each 2x2 block depends only on its own cells; updateBlocks dilates
-//    the dirty cell set by one cell left/up;
-//  - a window's score depends only on its covered cells, and every window
-//    covering a dirty cell is rescored (clean windows keep the cached
-//    score the full scan would recompute to the same bits);
+//    then behaves identically), so the grid equals a cold one; it flags
+//    the cells whose bits differ from the cached ones;
+//  - each 2x2 block is a pure function of its four cells; updateBlocks
+//    re-normalizes every block reading a changed cell, so the others
+//    already hold the cold bits;
+//  - a window's features depend only on the cells in its footprint, so a
+//    window over no changed cell has bit-identical features and keeps the
+//    cached score a rescore would return; every other window is rescored,
+//    and so is every window whose cached score is the lost sentinel;
 //  - detections are emitted from the score grid in the same row-major
 //    level order on every frame, so NMS sees an identical input.
 
 #include "core/detector.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -129,7 +135,9 @@ namespace {
 /// lc.scores (parallel rows, each row a disjoint slice -- deterministic for
 /// any thread count). A window whose feature assembly or scoring throws
 /// gets kLostScore and is tallied in `lost`; `scored` counts the picked
-/// windows.
+/// windows. A scorer's own -inf is stored as the lowest finite float, so
+/// only a throw leaves the sentinel that makes a warm frame retry the
+/// window.
 void scoreWindows(const extract::FeatureExtractor& extractor,
                   const WindowScorer& scorer, bool blockPath, auto& lc,
                   const auto& selected, long& scored, long& lost) {
@@ -146,7 +154,9 @@ void scoreWindows(const extract::FeatureExtractor& extractor,
                                                    static_cast<int>(wy))
                       : extractor.windowFromGrid(lc.grid, wx,
                                                  static_cast<int>(wy));
-        row[wx] = scorer(features);
+        const float score = scorer(features);
+        row[wx] = score == kLostScore ? std::numeric_limits<float>::lowest()
+                                      : score;
       } catch (const std::exception&) {
         // One window's feature assembly or scoring failing loses that
         // window only; the rest of the row keeps scanning.
@@ -472,11 +482,13 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       }
     };
 
-    // Bring the level's cells and blocks up to date. `dirtyTiles` stays
-    // empty on a full compute, where every tile and window is dirty.
-    std::vector<std::uint8_t> dirtyTiles;
+    // Bring the level's cells and blocks up to date. On a full compute
+    // every tile is recomputed and every window scored; on an incremental
+    // update `changed` flags the cells whose histogram bits changed.
+    const bool fullCompute = !lc.valid;
     long dirtyTileCount = levelTiles;
-    if (!lc.valid) {
+    std::vector<std::uint8_t> changed;
+    if (fullCompute) {
       // Full compute: cold cache, or the level was invalidated by a
       // failed incremental update or a shed/abandoned scan. On a warm
       // cache the level's pixels are stale (the incremental splice only
@@ -526,8 +538,8 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       // Incremental: refresh the level's pixels under the dirty scene
       // rects, mark the tiles whose cells they touch, and recompute only
       // those.
-      dirtyTiles.assign(static_cast<std::size_t>(tilesAcross) * tilesDown,
-                        0);
+      std::vector<std::uint8_t> dirtyTiles(
+          static_cast<std::size_t>(tilesAcross) * tilesDown, 0);
       if (!sceneDirty.empty()) {
         PCNN_SPAN_ARG("detect.resize", "level", levelIndex);
         long refreshedPx = 0;
@@ -601,7 +613,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
           PCNN_SPAN("detect.cellGrid");
           obs::ScopedTimer timer(cellGridUs());
           StatusOr<long> updated = featureExtractor_->tryUpdateCellGrid(
-              lc.image, cellRects, lc.grid);
+              lc.image, cellRects, lc.grid, changed);
           if (!updated.ok()) {
             skipLevel(updated.status());
             continue;
@@ -610,7 +622,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
         if (blockPath) {
           PCNN_SPAN("detect.blockGrid");
           try {
-            featureExtractor_->updateBlocks(lc.grid, cellRects, lc.blocks);
+            featureExtractor_->updateBlocks(lc.grid, changed, lc.blocks);
           } catch (const std::exception& e) {
             skipLevel(
                 Status::Internal(std::string("updateBlocks: ") + e.what()));
@@ -620,39 +632,52 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       }
     }
 
-    // Score the dirty windows -- all of them on a full compute; on an
-    // incremental update a window is dirty iff any tile intersecting its
-    // cell footprint is, answered by 2-D prefix sums over the tile bitmap.
+    // Score every window whose cached score may differ from a rescore: all
+    // of them on a full compute. On an incremental update a window is
+    // rescored iff its cell footprint holds a changed cell -- answered in
+    // O(1) by a 2-D prefix sum over the changed-cell mask -- or its cached
+    // score is the lost sentinel, so a window lost on an earlier frame is
+    // retried (and recovers or is counted lost again) on the next one.
     long rescored = 0;
     long lost = 0;
-    if (dirtyTileCount > 0) {
+    if (fullCompute) {
       PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      if (dirtyTiles.empty()) {
-        scoreWindows(*featureExtractor_, scorer_, blockPath, lc,
-                     [](int, int) { return true; }, rescored, lost);
-      } else {
-        const std::size_t stride = static_cast<std::size_t>(tilesAcross) + 1;
-        std::vector<int> prefix(stride * (tilesDown + 1), 0);
-        for (int ty = 0; ty < tilesDown; ++ty) {
-          for (int tx = 0; tx < tilesAcross; ++tx) {
-            prefix[(ty + 1) * stride + tx + 1] =
-                prefix[ty * stride + tx + 1] +
-                prefix[(ty + 1) * stride + tx] - prefix[ty * stride + tx] +
-                dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx];
+      scoreWindows(*featureExtractor_, scorer_, blockPath, lc,
+                   [](int, int) { return true; }, rescored, lost);
+    } else {
+      const std::size_t stride = static_cast<std::size_t>(cellsX) + 1;
+      std::vector<int> prefix;
+      if (std::find(changed.begin(), changed.end(), 1) != changed.end()) {
+        prefix.assign(stride * (static_cast<std::size_t>(cellsY) + 1), 0);
+        for (int cy = 0; cy < cellsY; ++cy) {
+          const std::uint8_t* flags =
+              changed.data() + static_cast<std::size_t>(cy) * cellsX;
+          for (int cx = 0; cx < cellsX; ++cx) {
+            prefix[(cy + 1) * stride + cx + 1] =
+                prefix[cy * stride + cx + 1] + prefix[(cy + 1) * stride + cx] -
+                prefix[cy * stride + cx] + flags[cx];
           }
         }
-        auto windowDirty = [&](int wx, int wy) {
-          const int txa = wx / kTileCells;
-          const int txb = (wx + params_.windowCellsX - 1) / kTileCells;
-          const int tya = wy / kTileCells;
-          const int tyb = (wy + params_.windowCellsY - 1) / kTileCells;
-          return prefix[(tyb + 1) * stride + txb + 1] -
-                     prefix[tya * stride + txb + 1] -
-                     prefix[(tyb + 1) * stride + txa] +
-                     prefix[tya * stride + txa] >
-                 0;
+      }
+      const bool anyLost = std::find(lc.scores.begin(), lc.scores.end(),
+                                     kLostScore) != lc.scores.end();
+      if (!prefix.empty() || anyLost) {
+        PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
+        const int wcx = params_.windowCellsX;
+        const int wcy = params_.windowCellsY;
+        auto stale = [&](int wx, int wy) {
+          if (lc.scores[static_cast<std::size_t>(wy) * lc.spanX + wx] ==
+              kLostScore) {
+            return true;
+          }
+          return !prefix.empty() &&
+                 prefix[(wy + wcy) * stride + wx + wcx] -
+                         prefix[wy * stride + wx + wcx] -
+                         prefix[(wy + wcy) * stride + wx] +
+                         prefix[wy * stride + wx] >
+                     0;
         };
-        scoreWindows(*featureExtractor_, scorer_, blockPath, lc, windowDirty,
+        scoreWindows(*featureExtractor_, scorer_, blockPath, lc, stale,
                      rescored, lost);
       }
     }

@@ -195,14 +195,21 @@ std::vector<float> CompiledTrinaryNet::forwardBatch(
   std::vector<float> output(static_cast<std::size_t>(outputSize_) * count);
   if (count == 0) return output;
 
-  // Runs columns [begin, begin + width) through every stage on two
-  // ping-pong scratch planes. The kernel works in whole vectors, so their
-  // row stride is padded to the vector width; padding columns carry zeros
-  // in and finite junk through, and no real column ever reads them.
-  auto runBlock = [&](long begin, long width, std::vector<float>(&planes)[2]) {
+  // Runs columns [begin, begin + width) through every stage on the
+  // running thread's two ping-pong scratch planes. The kernel works in
+  // whole vectors, so their row stride is padded to the vector width;
+  // padding columns carry zeros in and finite junk through, and no real
+  // column ever reads them. The planes are kept per thread and only grow:
+  // a narrow batch's are megabytes, and freeing them on every call let
+  // the allocator hand the pages back to the OS, so every call faulted
+  // them in again.
+  auto runBlock = [&](long begin, long width) {
+    thread_local std::vector<float> planes[2];
     const long stride = (width + kLanes - 1) / kLanes * kLanes;
     for (std::vector<float>& plane : planes) {
-      plane.resize(static_cast<std::size_t>(maxWidth_ * stride));
+      if (plane.size() < static_cast<std::size_t>(maxWidth_ * stride)) {
+        plane.resize(static_cast<std::size_t>(maxWidth_ * stride));
+      }
     }
     for (long r = 0; r < inputSize_; ++r) {
       float* row = planes[0].data() + r * stride;
@@ -228,17 +235,14 @@ std::vector<float> CompiledTrinaryNet::forwardBatch(
   if (blocks >= 2L * threadCount()) {
     parallelForChunked(0, blocks, suggestedGrain(blocks),
                        [&](long lo, long hi) {
-                         std::vector<float> planes[2];
                          for (long b = lo; b < hi; ++b) {
                            const long begin = b * kBlockColumns;
                            runBlock(begin,
-                                    std::min(kBlockColumns, count - begin),
-                                    planes);
+                                    std::min(kBlockColumns, count - begin));
                          }
                        });
   } else {
-    std::vector<float> planes[2];
-    runBlock(0, count, planes);
+    runBlock(0, count);
   }
   return output;
 }

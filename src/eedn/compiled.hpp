@@ -49,7 +49,10 @@ class CompiledTrinaryNet {
   /// batch of at least two 256-column blocks per thread splits over those
   /// blocks instead, each run through every stage inline so its planes
   /// stay in cache. Every item writes its own slice of one output row, so
-  /// results do not depend on the split or the thread count.
+  /// results do not depend on the split or the thread count. The
+  /// activation planes are per-thread scratch that is reused and only
+  /// grows, so each thread that runs a batch keeps the planes of the
+  /// widest one it ran.
   std::vector<float> forwardBatch(const std::vector<float>& input,
                                   int count) const;
 

@@ -178,7 +178,7 @@ StatusOr<std::vector<float>> FeatureExtractor::tryWindowFeatures(
 
 StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
     const vision::Image& image, const std::vector<CellRect>& dirty,
-    hog::CellGrid& grid) {
+    hog::CellGrid& grid, std::vector<std::uint8_t>& changed) {
   if (image.empty()) {
     extractFailures().add();
     return Status::InvalidArgument("tryUpdateCellGrid(" + name_ +
@@ -196,6 +196,7 @@ StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
         " does not match image " + std::to_string(image.width()) + "x" +
         std::to_string(image.height()));
   }
+  changed.assign(static_cast<std::size_t>(cellsX) * cellsY, 0);
   // Target cells are recomputed from a crop with one cell of context on
   // every side: the gradient stencil reads one pixel beyond the cell, so
   // target cells sitting one full cell inside the crop (or on the image
@@ -246,14 +247,22 @@ StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
         return Status::Internal("tryUpdateCellGrid(" + name_ +
                                 "): backend produced a mismatched sub-grid");
       }
+      // Splice only the cells whose bits differ, flagging each one.
+      const std::size_t cellBytes =
+          sizeof(float) * static_cast<std::size_t>(bins_);
       const std::size_t last = merged ? targets.size() : k + 1;
       for (std::size_t i = merged ? 0 : k; i < last; ++i) {
         const CellRect& t = targets[i];
-        const std::size_t rowBytes =
-            sizeof(float) * static_cast<std::size_t>(t.cx1 - t.cx0) * bins_;
         for (int cy = t.cy0; cy < t.cy1; ++cy) {
-          std::memcpy(grid.cell(t.cx0, cy),
-                      sub.cell(t.cx0 - crop.cx0, cy - crop.cy0), rowBytes);
+          float* dst = grid.cell(t.cx0, cy);
+          const float* src = sub.cell(t.cx0 - crop.cx0, cy - crop.cy0);
+          std::uint8_t* flags =
+              changed.data() + static_cast<std::size_t>(cy) * cellsX;
+          for (int cx = t.cx0; cx < t.cx1; ++cx, dst += bins_, src += bins_) {
+            if (std::memcmp(dst, src, cellBytes) == 0) continue;
+            std::memcpy(dst, src, cellBytes);
+            flags[cx] = 1;
+          }
         }
         recomputed += area(t);
       }
@@ -265,16 +274,39 @@ StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
   return recomputed;
 }
 
-long FeatureExtractor::updateBlocks(const hog::CellGrid& grid,
-                                    const std::vector<CellRect>& dirtyCells,
-                                    hog::BlockGrid& blocks) const {
+long FeatureExtractor::updateBlocks(
+    const hog::CellGrid& grid, const std::vector<std::uint8_t>& changedCells,
+    hog::BlockGrid& blocks) const {
   if (layout_ != FeatureLayout::kBlockNorm) return 0;
+  const int cellsX = grid.cellsX;
+  if (changedCells.size() != static_cast<std::size_t>(cellsX) * grid.cellsY ||
+      blocks.blocksX > cellsX - 1 || blocks.blocksY > grid.cellsY - 1) {
+    throw std::invalid_argument(
+        "updateBlocks: changed-cell mask or block grid does not match the "
+        "cell grid");
+  }
+  // The 2x2 block at (bx, by) reads cells bx..bx+1 x by..by+1; each row's
+  // runs of blocks reading a changed cell are re-normalized together.
   long refreshed = 0;
-  for (const CellRect& rect : dirtyCells) {
-    // A 2x2 block covers cells [bx, bx+1] x [by, by+1]: blocks one to the
-    // left/top of a dirty cell also change.
-    refreshed += blockAssembler_.refreshBlockRect(
-        grid, blocks, rect.cx0 - 1, rect.cy0 - 1, rect.cx1, rect.cy1);
+  for (int by = 0; by < blocks.blocksY; ++by) {
+    const std::uint8_t* top =
+        changedCells.data() + static_cast<std::size_t>(by) * cellsX;
+    const std::uint8_t* bottom = top + cellsX;
+    auto stale = [&](int bx) {
+      return (top[bx] | top[bx + 1] | bottom[bx] | bottom[bx + 1]) != 0;
+    };
+    int bx = 0;
+    while (bx < blocks.blocksX) {
+      if (!stale(bx)) {
+        ++bx;
+        continue;
+      }
+      int end = bx + 1;
+      while (end < blocks.blocksX && stale(end)) ++end;
+      refreshed +=
+          blockAssembler_.refreshBlockRect(grid, blocks, bx, by, end, by + 1);
+      bx = end;
+    }
   }
   return refreshed;
 }

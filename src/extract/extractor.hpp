@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,8 +54,7 @@ struct ExtractorInfo {
 };
 
 /// A half-open rectangle of cells [cx0, cx1) x [cy0, cy1) inside a cell
-/// grid -- the unit of incremental recomputation (tryUpdateCellGrid /
-/// updateBlocks).
+/// grid -- the unit of incremental recomputation (tryUpdateCellGrid).
 struct CellRect {
   int cx0 = 0;
   int cy0 = 0;
@@ -123,19 +123,30 @@ class FeatureExtractor {
   /// since a crop keeps its level origin, the Parrot codes them alike --
   /// so the refreshed cells are bitwise-identical to a full-image cellGrid
   /// either way. `grid` must have the exact geometry
-  /// cellGrid(image) would produce. Returns the number of target cells
-  /// refreshed; on failure the grid contents are unspecified and the
-  /// caller should fall back to a full recompute.
+  /// cellGrid(image) would produce.
+  ///
+  /// Each recomputed cell is compared bitwise (memcmp, so -0.0f and NaN
+  /// payloads count as changes) with the cached histogram before it is
+  /// spliced in. `changed` is reset to a cellsY x cellsX row-major mask
+  /// holding 1 exactly for the cells whose bits changed -- what
+  /// updateBlocks and the detector's window rescoring consume. Returns the
+  /// number of target cells recomputed; on failure the grid and mask
+  /// contents are unspecified and the caller should fall back to a full
+  /// recompute.
   StatusOr<long> tryUpdateCellGrid(const vision::Image& image,
                                    const std::vector<CellRect>& dirty,
-                                   hog::CellGrid& grid);
+                                   hog::CellGrid& grid,
+                                   std::vector<std::uint8_t>& changed);
 
-  /// Companion of tryUpdateCellGrid for kBlockNorm extractors: refreshes
-  /// every block of `blocks` that covers a cell in `dirtyCells` (each 2x2
-  /// block dilates the dirty region by one cell leftward/upward). Returns
-  /// the number of blocks refreshed; 0 for kFlatCell layouts.
+  /// Companion of tryUpdateCellGrid for kBlockNorm extractors: re-
+  /// normalizes exactly the blocks of `blocks` that read a cell flagged in
+  /// `changedCells` (the mask tryUpdateCellGrid reports; a 2x2 block at
+  /// (bx, by) reads cells bx..bx+1 x by..by+1). A block is a pure function
+  /// of its four cells, so every other block already holds the bits a
+  /// full prepareBlocks would produce. Returns the number of blocks
+  /// refreshed; 0 for kFlatCell layouts.
   long updateBlocks(const hog::CellGrid& grid,
-                    const std::vector<CellRect>& dirtyCells,
+                    const std::vector<std::uint8_t>& changedCells,
                     hog::BlockGrid& blocks) const;
 
   /// Features of the window whose top-left cell is (cx0, cy0), sliced out

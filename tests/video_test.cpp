@@ -4,7 +4,11 @@
 // GridDetector::detectBatch -- in particular the bitwise-parity contracts
 // (temporal.enabled = false == per-frame detect() at any thread count; the
 // temporal path == the off path for deterministic backends).
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,11 +188,65 @@ TEST(VideoPyramid, FullHdGeometryInvariants) {
 
 // ------------------------------------------- incremental grid refresh
 
+/// The cells whose histograms differ bitwise between two same-geometry
+/// grids -- the mask tryUpdateCellGrid must report.
+std::vector<std::uint8_t> cellwiseDiff(const hog::CellGrid& a,
+                                       const hog::CellGrid& b) {
+  EXPECT_EQ(a.data.size(), b.data.size());
+  std::vector<std::uint8_t> diff(
+      static_cast<std::size_t>(a.cellsX) * a.cellsY, 0);
+  for (int cy = 0; cy < a.cellsY; ++cy) {
+    for (int cx = 0; cx < a.cellsX; ++cx) {
+      diff[static_cast<std::size_t>(cy) * a.cellsX + cx] =
+          std::memcmp(a.cell(cx, cy), b.cell(cx, cy),
+                      sizeof(float) * static_cast<std::size_t>(a.bins)) != 0;
+    }
+  }
+  return diff;
+}
+
+/// What tryUpdateCellGrid reported for one patch.
+struct PatchResult {
+  long recomputed = 0;  ///< target cells recomputed
+  long changed = 0;     ///< cells flagged in the changed-cell mask
+};
+
+/// Patches the cold grid and blocks of `before` to `after` through
+/// tryUpdateCellGrid + updateBlocks over `rects`, and checks them bitwise
+/// against cold ones: the grid against cellGrid(after), the changed-cell
+/// mask against a cellwise memcmp of the two cold grids, and the blocks
+/// against prepareBlocks.
+PatchResult checkPatch(extract::FeatureExtractor& extractor,
+                       const Image& before, const Image& after,
+                       const std::vector<extract::CellRect>& rects,
+                       const std::string& what) {
+  const hog::CellGrid cold = extractor.cellGrid(before);
+  hog::CellGrid grid = cold;
+  hog::BlockGrid blocks = extractor.prepareBlocks(grid);
+  std::vector<std::uint8_t> changed = {1, 1, 1};  // reset by the call
+  StatusOr<long> updated =
+      extractor.tryUpdateCellGrid(after, rects, grid, changed);
+  EXPECT_TRUE(updated.ok()) << updated.status().toString();
+  if (!updated.ok()) return {};
+  const hog::CellGrid full = extractor.cellGrid(after);
+  EXPECT_EQ(grid.data, full.data) << what;
+  EXPECT_EQ(changed, cellwiseDiff(cold, full)) << what;
+  const long blocksRefreshed = extractor.updateBlocks(grid, changed, blocks);
+  EXPECT_EQ(blocks.data, extractor.prepareBlocks(full).data) << what;
+  const long changedCells = std::count(changed.begin(), changed.end(), 1);
+  if (changedCells > 0) {
+    EXPECT_GT(blocksRefreshed, 0) << what;
+  }
+  return {updated.value(), changedCells};
+}
+
 /// Mutates pixel regions, then checks tryUpdateCellGrid patches the old
-/// grid into bitwise equality with a fresh full-image grid: one scribbled
-/// region, then stacked tile rows (their union crop costs fewer cells than
-/// one crop each, so they share it) and two far-apart patches (cheaper
-/// apart).
+/// grid into bitwise equality with a fresh full-image grid and reports
+/// exactly the cells whose bits changed: one scribbled region under an
+/// oversized rect (one per-rect crop; its ring of recomputed cells is
+/// mostly unchanged), then stacked tile rows (their union crop costs fewer
+/// cells than one crop each, so they share it) and two far-apart patches
+/// (cheaper apart).
 void checkIncrementalParity(const std::string& backend) {
   auto extractor =
       extract::makeExtractor(backend, extract::FeatureLayout::kBlockNorm);
@@ -203,21 +261,21 @@ void checkIncrementalParity(const std::string& backend) {
       after.at(x, y) = static_cast<float>(rng.uniform());
     }
   }
-  hog::CellGrid grid = extractor->cellGrid(before);
-  // Cells whose 1-px gradient stencil can see a changed pixel.
+  // Cells whose 1-px gradient stencil can see a changed pixel, plus a
+  // two-cell ring that recomputes to the cached bits.
   const int cell = extractor->cellSize();
   extract::CellRect dirty;
-  dirty.cx0 = (64 - 1) / cell;
-  dirty.cy0 = (100 - 1) / cell;
-  dirty.cx1 = (140 + 1 + cell - 1) / cell;
-  dirty.cy1 = (150 + 1 + cell - 1) / cell;
-  StatusOr<long> updated =
-      extractor->tryUpdateCellGrid(after, {dirty}, grid);
-  ASSERT_TRUE(updated.ok()) << updated.status().toString();
-  EXPECT_GT(updated.value(), 0);
-  const hog::CellGrid full = extractor->cellGrid(after);
-  ASSERT_EQ(grid.data.size(), full.data.size());
-  EXPECT_EQ(grid.data, full.data) << backend;
+  dirty.cx0 = (64 - 1) / cell - 2;
+  dirty.cy0 = (100 - 1) / cell - 2;
+  dirty.cx1 = (140 + 1 + cell - 1) / cell + 2;
+  dirty.cy1 = (150 + 1 + cell - 1) / cell + 2;
+  const PatchResult scribble =
+      checkPatch(*extractor, before, after, {dirty}, backend + " scribble");
+  EXPECT_EQ(scribble.recomputed,
+            static_cast<long>(dirty.cx1 - dirty.cx0) * (dirty.cy1 - dirty.cy0))
+      << backend;
+  EXPECT_GT(scribble.changed, 0) << backend;
+  EXPECT_LT(scribble.changed, scribble.recomputed) << backend;
 
   const Image other = SyntheticVideo(smallVideo(2, 18)).frame(0).image;
   const int cellsX = before.width() / cell;
@@ -235,16 +293,14 @@ void checkIncrementalParity(const std::string& backend) {
         }
       }
     }
-    hog::CellGrid patched = extractor->cellGrid(before);
-    StatusOr<long> cells = extractor->tryUpdateCellGrid(mixed, rects, patched);
-    ASSERT_TRUE(cells.ok()) << cells.status().toString();
     long targetCells = 0;
     for (const extract::CellRect& rect : rects) {
       targetCells += static_cast<long>(rect.cx1 - rect.cx0) *
                      (rect.cy1 - rect.cy0);
     }
-    EXPECT_EQ(cells.value(), targetCells) << backend;
-    EXPECT_EQ(patched.data, extractor->cellGrid(mixed).data) << backend;
+    EXPECT_EQ(checkPatch(*extractor, before, mixed, rects, backend).recomputed,
+              targetCells)
+        << backend;
   }
 }
 
@@ -277,12 +333,17 @@ TEST(IncrementalGrid, UpdateBlocksMatchesPrepareBlocks) {
   dirty.cy0 = (40 - 1) / cell;
   dirty.cx1 = (96 + cell) / cell;
   dirty.cy1 = (80 + cell) / cell;
-  ASSERT_TRUE(extractor->tryUpdateCellGrid(after, {dirty}, grid).ok());
-  const long refreshed = extractor->updateBlocks(grid, {dirty}, blocks);
+  std::vector<std::uint8_t> changed;
+  ASSERT_TRUE(
+      extractor->tryUpdateCellGrid(after, {dirty}, grid, changed).ok());
+  const long refreshed = extractor->updateBlocks(grid, changed, blocks);
   EXPECT_GT(refreshed, 0);
   const hog::BlockGrid full = extractor->prepareBlocks(grid);
   ASSERT_EQ(blocks.data.size(), full.data.size());
   EXPECT_EQ(blocks.data, full.data);
+  // A mask of the wrong size is rejected, not read out of bounds.
+  EXPECT_THROW(extractor->updateBlocks(grid, {1, 0}, blocks),
+               std::invalid_argument);
 }
 
 TEST(IncrementalGrid, RejectsGeometryMismatch) {
@@ -293,7 +354,9 @@ TEST(IncrementalGrid, RejectsGeometryMismatch) {
   extract::CellRect rect;
   rect.cx1 = 2;
   rect.cy1 = 2;
-  EXPECT_FALSE(extractor->tryUpdateCellGrid(img, {rect}, wrong).ok());
+  std::vector<std::uint8_t> changed;
+  EXPECT_FALSE(
+      extractor->tryUpdateCellGrid(img, {rect}, wrong, changed).ok());
 }
 
 // ----------------------------------------------------------- detectBatch
@@ -432,6 +495,156 @@ TEST(DetectBatch, SpikeCodedCropsAwayFromOriginMatchDetect) {
     }
   }
   setThreadCount(restoreThreads);
+}
+
+/// Brute-force count of the windows a warm frame must rescore: per level
+/// of the detector's pyramid, the windows whose cell footprint holds a cell
+/// that differs bitwise between the cold grids of `prev` and `next`.
+long windowsOverChangedCells(extract::FeatureExtractor& extractor,
+                             const Image& prev, const Image& next,
+                             int maxLevels) {
+  vision::PyramidParams pp;
+  pp.maxLevels = maxLevels;
+  pp.minWidth = extractor.windowCellsX() * extractor.cellSize();
+  pp.minHeight = extractor.windowCellsY() * extractor.cellSize();
+  const auto before = vision::buildPyramid(prev, pp);
+  const auto after = vision::buildPyramid(next, pp);
+  EXPECT_EQ(before.size(), after.size());
+  long count = 0;
+  for (std::size_t li = 0; li < before.size(); ++li) {
+    const hog::CellGrid a = extractor.cellGrid(before[li].image);
+    const std::vector<std::uint8_t> diff =
+        cellwiseDiff(a, extractor.cellGrid(after[li].image));
+    for (int wy = 0; wy + extractor.windowCellsY() <= a.cellsY; ++wy) {
+      for (int wx = 0; wx + extractor.windowCellsX() <= a.cellsX; ++wx) {
+        bool stale = false;
+        for (int cy = wy; !stale && cy < wy + extractor.windowCellsY();
+             ++cy) {
+          for (int cx = wx; !stale && cx < wx + extractor.windowCellsX();
+               ++cx) {
+            stale = diff[static_cast<std::size_t>(cy) * a.cellsX + cx] != 0;
+          }
+        }
+        count += stale ? 1 : 0;
+      }
+    }
+  }
+  return count;
+}
+
+// A warm frame rescores exactly the windows over cells whose histogram
+// bits changed -- not every window over a dirty tile -- and still equals
+// detect(). The 324-px pair changes only pixels right of the last whole
+// cell: a dirty tile whose recomputed cells all keep their bits, so no
+// window is rescored.
+TEST(DetectBatch, RescoresOnlyWindowsOverChangedCells) {
+  constexpr int kLevels = 3;
+  SyntheticVideo video(smallVideo(2, 31));
+  std::vector<Image> frames;
+  for (int f = 0; f < 4; ++f) frames.push_back(video.frame(f).image);
+  VideoParams wide = smallVideo(0, 5);
+  wide.width = 324;
+  const Image edge = SyntheticVideo(wide).frame(0).image;
+  Image edgeMoved = edge;
+  for (int y = 0; y < edge.height(); ++y) {
+    edgeMoved.at(322, y) = 1.0f - edge.at(322, y);
+  }
+  const int restoreThreads = threadCount();
+  for (const char* backend : {"hog", "parrot:exact"}) {
+    auto oracle =
+        extract::makeExtractor(backend, extract::FeatureLayout::kBlockNorm);
+    for (int threads : {1, 4}) {
+      setThreadCount(threads);
+      GridDetector detector = makeDetector(backend, true, false, kLevels);
+      const BatchDetectResult batch = detector.detectBatch(frames);
+      ASSERT_EQ(batch.frames.size(), frames.size());
+      long rescored = 0;
+      for (std::size_t f = 1; f < frames.size(); ++f) {
+        const core::FrameStats& stats = batch.frames[f].stats;
+        EXPECT_FALSE(stats.fullRecompute) << backend;
+        EXPECT_EQ(stats.windowsRescored,
+                  windowsOverChangedCells(*oracle, frames[f - 1], frames[f],
+                                          kLevels))
+            << backend << " frame " << f << " threads " << threads;
+        rescored += stats.windowsRescored;
+        expectSameDetections(batch.frames[f].detections,
+                             detector.detect(frames[f]), backend);
+      }
+      EXPECT_GT(rescored, 0) << backend;
+
+      GridDetector edgeDetector = makeDetector(backend, true, false, 1);
+      const BatchDetectResult edgeBatch =
+          edgeDetector.detectBatch({edge, edgeMoved});
+      ASSERT_EQ(edgeBatch.frames.size(), 2u);
+      const core::FrameStats& stats = edgeBatch.frames[1].stats;
+      EXPECT_FALSE(stats.fullRecompute) << backend;
+      EXPECT_GT(stats.tilesRecomputed, 0) << backend;
+      EXPECT_EQ(stats.windowsRescored, 0) << backend;
+      EXPECT_GT(stats.windowsReused, 0) << backend;
+      expectSameDetections(edgeBatch.frames[1].detections,
+                           edgeDetector.detect(edgeMoved), backend);
+    }
+  }
+  setThreadCount(restoreThreads);
+}
+
+// A window whose scoring threw keeps the lost sentinel as its cached
+// score. The next frame retries it whatever its cells: it recovers, or is
+// counted lost again in that frame's report.
+TEST(DetectBatch, LostWindowsAreRetriedOnTheNextFrame) {
+  const Image scene = SyntheticVideo(smallVideo(2, 31)).frame(0).image;
+  auto extractor =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
+  GridDetectorParams params;
+  params.scoreThreshold = 2.0f;
+  params.pyramid.maxLevels = 3;
+  params.temporal.smooth = false;
+  const core::WindowScorer linear = fixedScorer(extractor->featureDim());
+
+  // Throws on its first 50 calls, then scores normally.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  GridDetector flaky(params, extractor,
+                     [linear, calls](const std::vector<float>& f) {
+                       if (calls->fetch_add(1) < 50) {
+                         throw std::runtime_error("scorer hiccup");
+                       }
+                       return linear(f);
+                     });
+  std::vector<core::DegradationReport> reports;
+  const BatchDetectResult batch =
+      flaky.detectBatch({scene, scene}, {}, &reports);
+  ASSERT_EQ(batch.frames.size(), 2u);
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].windowsLost, 50);
+  EXPECT_EQ(reports[1].windowsLost, 0);
+  EXPECT_FALSE(reports[1].degraded());
+  EXPECT_EQ(batch.frames[1].stats.windowsRescored, 50);
+  GridDetector healthy(params, extractor, linear);
+  expectSameDetections(batch.frames[1].detections, healthy.detect(scene),
+                       "recovered");
+
+  // A scorer that always throws loses every window on every frame.
+  GridDetector broken(params, extractor,
+                      [](const std::vector<float>&) -> float {
+                        throw std::runtime_error("scorer down");
+                      });
+  const BatchDetectResult down =
+      broken.detectBatch({scene, scene}, {}, &reports);
+  ASSERT_EQ(reports.size(), 2u);
+  const long windows = down.frames[0].stats.windowsRescored;
+  EXPECT_GT(windows, 0);
+  EXPECT_EQ(reports[0].windowsLost, windows);
+  EXPECT_EQ(reports[1].windowsLost, windows);
+  EXPECT_EQ(down.frames[1].stats.windowsRescored, windows);
+  EXPECT_TRUE(down.frames[1].detections.empty());
+
+  // A scorer's own -inf is a score, not a loss: nothing is retried.
+  GridDetector sink(params, extractor, [](const std::vector<float>&) {
+    return -std::numeric_limits<float>::infinity();
+  });
+  const BatchDetectResult low = sink.detectBatch({scene, scene}, {}, &reports);
+  EXPECT_EQ(reports[0].windowsLost + reports[1].windowsLost, 0);
+  EXPECT_EQ(low.frames[1].stats.windowsRescored, 0);
 }
 
 TEST(DetectBatch, StaticSceneReusesEverythingAfterFirstFrame) {
