@@ -18,7 +18,6 @@
 #include "hog/cell_kernels.hpp"
 #include "io/bundle.hpp"
 #include "obs/provenance.hpp"
-#include "tn/engine.hpp"
 #include "vision/pyramid.hpp"
 #include "vision/sliding_window.hpp"
 #include "vision/synth.hpp"
@@ -26,7 +25,7 @@
 namespace pcnn::bench {
 
 /// Run provenance every bench writer shares: the process-wide fields from
-/// obs::provenance() plus the hog layer's resolved kernel dispatch. One
+/// obs::provenance() plus the CPU's SIMD level for the hog kernels. One
 /// helper instead of each bench duplicating its own subset of
 /// thread/SIMD fields (BENCH_detect.json used to hand-roll them).
 /// With PCNN_BUNDLE set, the bundle's manifest identity (spec + content
@@ -34,10 +33,7 @@ namespace pcnn::bench {
 /// the exact trained artifact it measured.
 inline std::string provenanceJson() {
   std::vector<std::pair<std::string, std::string>> extras = {
-      {"kernel_dispatch",
-       hog::kernels::kindName(hog::kernels::activeKind())},
-      {"simd_level", hog::kernels::simdLevel()},
-      {"tn_engine", tn::engineName(tn::engineFromEnv())}};
+      {"simd_level", hog::kernels::simdLevel()}};
   if (const std::optional<std::string> bundlePath = env::raw("PCNN_BUNDLE")) {
     StatusOr<io::Manifest> manifest =
         io::Bundle::tryLoadManifestFile(*bundlePath);

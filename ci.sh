@@ -22,20 +22,6 @@ cmake -B "$BUILD_DIR" -S . -DPCNN_WERROR=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
-# The fast label again under both kernel dispatch settings: once with the
-# batched SIMD kernels (the default) and once with PCNN_SIMD=off forcing
-# the scalar reference path, so a vectorization regression in either
-# implementation -- or a parity break between them -- fails CI.
-ctest --test-dir "$BUILD_DIR" -L fast --output-on-failure -j"$(nproc)"
-PCNN_SIMD=off ctest --test-dir "$BUILD_DIR" -L fast --output-on-failure \
-  -j"$(nproc)"
-
-# And once with the dense TrueNorth reference engine (the default is the
-# event-driven engine), so a regression in either tick loop -- or a parity
-# break between them -- fails CI the same way the SIMD re-run does.
-PCNN_TN_ENGINE=dense ctest --test-dir "$BUILD_DIR" -L fast \
-  --output-on-failure -j"$(nproc)"
-
 # ASan + UBSan tree over the fast, bundle, and video labels
 # (PCNN_SANITIZE=ON skippable for quick local iterations: PCNN_SANITIZE=OFF
 # ./ci.sh). The fault-injection, corrupt-file and corrupt-bundle regression
@@ -230,29 +216,61 @@ print("video smoke: detect.frame spans + tile reuse counters present "
       f"windows reused={counters['detect.windows_reused']})")
 EOF
 
-# Doc-number check: every fps figure in EXPERIMENTS.md's full-HD video
-# table must equal BENCH_video.json's value rounded to two decimals, so a
-# regenerated benchmark cannot leave the quoted numbers behind.
-python3 - EXPERIMENTS.md BENCH_video.json <<'EOF'
+# Doc-number check: every figure the docs quote from a BENCH file must
+# equal the file's value rounded to two decimals, so a regenerated benchmark
+# cannot leave the quoted numbers behind. Checked: EXPERIMENTS.md's full-HD
+# video table (fps, reuse speedup, tile hit rate) against BENCH_video.json,
+# and the Throughput tables of EXPERIMENTS.md and README (1/2/4-thread ms
+# and speedups, README's per-backend 320x240 rows) against
+# BENCH_detect.json.
+python3 - EXPERIMENTS.md README.md BENCH_video.json BENCH_detect.json <<'EOF'
 import json, sys
-backends = json.load(open(sys.argv[2]))["backends"]
-lines = open(sys.argv[1]).read().splitlines()
-header = "| Backend | Off (fps) | Temporal (fps) |"
-start = next(i for i, l in enumerate(lines) if l.startswith(header))
-rows = {}
-for line in lines[start + 2:]:
-    if not line.startswith("|"):
-        break
-    cells = [c.strip() for c in line.strip("|").split("|")]
-    rows[cells[0]] = cells
-assert sorted(rows) == sorted(backends), (sorted(rows), sorted(backends))
+experiments, readme = (open(p).read().splitlines() for p in sys.argv[1:3])
+video = json.load(open(sys.argv[3]))["backends"]
+detect = json.load(open(sys.argv[4]))
+checked = 0
+
+def table(lines, header):
+    start = next(i for i, l in enumerate(lines) if l.startswith(header))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[0]] = cells[1:]
+    return rows
+
+def expect(where, quoted, measured):
+    global checked
+    assert quoted == measured, f"{where}: quoted {quoted} != {measured}"
+    checked += len(measured)
+
+rows = table(experiments, "| Backend | Off (fps) | Temporal (fps) |")
+assert sorted(rows) == sorted(video), (sorted(rows), sorted(video))
 for name, cells in rows.items():
-    for col, key in ((1, "off_fps"), (2, "temporal_fps")):
-        quoted, measured = cells[col], f"{backends[name][key]:.2f}"
-        assert quoted == measured, \
-            f"EXPERIMENTS.md {name} {key} {quoted} != BENCH_video.json {measured}"
-print(f"doc numbers: {2 * len(rows)} EXPERIMENTS.md fps figures match "
-      "BENCH_video.json")
+    v = video[name]
+    expect(f"EXPERIMENTS.md video {name}", cells,
+           [f"{v['off_fps']:.2f}", f"{v['temporal_fps']:.2f}",
+            f"{v['reuse_speedup']:.2f}×", f"{v['tile_hit_rate']:.2f}"])
+
+rows = table(experiments, "| Path | Time | vs 1 thread |")
+readme_rows = table(readme, "| path | time |")
+for n in (1, 2, 4):
+    label = f"cached grid + block grid, {n} thread" + ("s" if n > 1 else "")
+    ms = f"{detect[f'cached_grid_{n}t_ms']:.2f} ms"
+    speedup = f"{detect[f'speedup_{n}t']:.2f}×" if n > 1 else "1×"
+    expect(f"EXPERIMENTS.md {label}", rows[label], [ms, speedup])
+    expect(f"README {label}", readme_rows[label],
+           [ms if n == 1 else f"{ms} ({speedup})"])
+backends = detect["extractors"]
+quoted = {label.split("`")[1]: cells for label, cells in readme_rows.items()
+          if label.endswith("320×240 registry scan, 1 thread")}
+assert sorted(quoted) == sorted(backends), (sorted(quoted), sorted(backends))
+for name, cells in quoted.items():
+    expect(f"README {name} 320x240 scan", cells,
+           [f"{backends[name]['cached_grid_1t_ms']:.2f} ms"])
+print(f"doc numbers: {checked} quoted cells in EXPERIMENTS.md and README match "
+      "BENCH_video.json and BENCH_detect.json")
 EOF
 
 # Serve smoke: bench_serve at a heavily overloaded point with the metrics
@@ -285,4 +303,4 @@ print(f"serve smoke: {rejected} rejected, {transitions} ladder transitions "
       f"overloaded point shed {overloaded['shed_rate']:.0%}")
 EOF
 
-echo "ci.sh: deprecation guard + build + tests (incl. scalar-dispatch + dense-engine + asan fast|bundle|video|serve and 4-thread tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video & serve smoke + doc-number check) passed"
+echo "ci.sh: deprecation guard + build + tests (once; then asan fast|bundle|video|serve and 4-thread tsan fast|serve|video re-runs + obs, stream, prom, flight, bundle, video & serve smoke + doc-number check) passed"

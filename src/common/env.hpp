@@ -1,8 +1,8 @@
 #pragma once
 
 // Single home for PCNN_* environment-variable parsing. Every runtime knob
-// (PCNN_SIMD, PCNN_TRACE, PCNN_METRICS, PCNN_FAULTS, PCNN_TN_ENGINE,
-// PCNN_BUNDLE, PCNN_NUM_THREADS, ...) reads through these
+// (PCNN_OBS, PCNN_TRACE, PCNN_METRICS, PCNN_FAULTS, PCNN_BUNDLE,
+// PCNN_NUM_THREADS, PCNN_SERVE_QUEUE, ...) reads through these
 // typed getters instead of hand-rolling getenv + strtol + tolower at its
 // call site, so malformed values produce one consistent stderr diagnostic
 // (once per variable) and fall back to the documented default instead of
@@ -36,7 +36,7 @@ inline std::string str(const char* name, const std::string& fallback = "") {
 }
 
 /// The value lowercased, for case-insensitive token comparison
-/// ("PCNN_SIMD=OFF" and "off" behave identically). nullopt when unset.
+/// ("PCNN_OBS=OFF" and "off" behave identically). nullopt when unset.
 inline std::optional<std::string> loweredToken(const char* name) {
   std::optional<std::string> value = raw(name);
   if (!value) return std::nullopt;

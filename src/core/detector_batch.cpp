@@ -133,11 +133,12 @@ namespace {
 
 /// Scores the level's windows that `selected(wx, wy)` picks into
 /// lc.scores (parallel rows, each row a disjoint slice -- deterministic for
-/// any thread count). A window whose feature assembly or scoring throws
-/// gets kLostScore and is tallied in `lost`; `scored` counts the picked
+/// any thread count). A window whose feature assembly or scoring throws,
+/// or whose score is NaN (which no threshold or NMS order can rank), gets
+/// kLostScore and is tallied in `lost`; `scored` counts the picked
 /// windows. A scorer's own -inf is stored as the lowest finite float, so
-/// only a throw leaves the sentinel that makes a warm frame retry the
-/// window.
+/// only a lost window leaves the sentinel that makes a warm frame retry
+/// it.
 void scoreWindows(const extract::FeatureExtractor& extractor,
                   const WindowScorer& scorer, bool blockPath, auto& lc,
                   const auto& selected, long& scored, long& lost) {
@@ -148,20 +149,25 @@ void scoreWindows(const extract::FeatureExtractor& extractor,
     for (int wx = 0; wx < lc.spanX; ++wx) {
       if (!selected(wx, static_cast<int>(wy))) continue;
       ++rowScored[static_cast<std::size_t>(wy)];
+      float score = std::numeric_limits<float>::quiet_NaN();
       try {
         const std::vector<float> features =
             blockPath ? extractor.windowFromBlocks(lc.blocks, wx,
                                                    static_cast<int>(wy))
                       : extractor.windowFromGrid(lc.grid, wx,
                                                  static_cast<int>(wy));
-        const float score = scorer(features);
-        row[wx] = score == kLostScore ? std::numeric_limits<float>::lowest()
-                                      : score;
+        score = scorer(features);
       } catch (const std::exception&) {
         // One window's feature assembly or scoring failing loses that
-        // window only; the rest of the row keeps scanning.
+        // window only (its score stays NaN); the rest of the row keeps
+        // scanning.
+      }
+      if (std::isnan(score)) {
         row[wx] = kLostScore;
         ++rowLost[static_cast<std::size_t>(wy)];
+      } else {
+        row[wx] = score == kLostScore ? std::numeric_limits<float>::lowest()
+                                      : score;
       }
     }
   });

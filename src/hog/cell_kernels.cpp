@@ -2,12 +2,8 @@
 
 #include <cmath>
 #include <limits>
-#include <optional>
-#include <string>
 
-#include "common/env.hpp"
 #include "common/target_clones.hpp"
-#include "obs/obs.hpp"
 
 // Compiled with -fno-math-errno (see src/hog/CMakeLists.txt) so sqrtf
 // lowers to the sqrt instruction instead of a libm call, which is what
@@ -19,6 +15,7 @@ namespace {
 constexpr float kPi = 3.14159265358979323846f;
 constexpr float kHalfPi = 1.57079632679489661923f;
 constexpr float kTwoPi = 6.28318530717958647692f;
+constexpr float kMaxFloat = std::numeric_limits<float>::max();
 
 /// Per-pixel angle + vote weight, written entirely as selects so the row
 /// passes below vectorize (any genuine branch kills the vectorizer).
@@ -26,8 +23,8 @@ constexpr float kTwoPi = 6.28318530717958647692f;
 /// never-taken for signed); wSel is 1 for magnitude-weighted votes, 0 for
 /// voting by count.
 struct AngleWeight {
-  float t;       ///< orientation in [0, range)
-  float weight;  ///< vote weight (0 for zero-magnitude pixels)
+  float t;       ///< orientation in [0, range]
+  float weight;  ///< vote weight (0 for zero or non-finite magnitudes)
 };
 
 inline AngleWeight angleWeight(float x, float y, float foldLimit,
@@ -56,9 +53,12 @@ inline AngleWeight angleWeight(float x, float y, float foldLimit,
   t = x < 0.0f ? kPi - t : t;
   t = y < 0.0f ? kTwoPi - t : t;
   t = t >= foldLimit ? t - foldSub : t;
-  float weight = mag * wSel + (1.0f - wSel);
-  weight = mag < 1e-9f ? 0.0f : weight;
-  return {t, weight};
+  // Only a magnitude in [1e-9, FLT_MAX] votes: the compares are false for
+  // NaN, so a zero or non-finite gradient gets weight 0 and angle 0 (a NaN
+  // angle would turn into an out-of-range bin index).
+  const bool votes = mag >= 1e-9f && mag <= kMaxFloat;
+  const float weight = mag * wSel + (1.0f - wSel);
+  return {votes ? t : 0.0f, votes ? weight : 0.0f};
 }
 
 /// Bilinear voting: fills bin-index pairs and split weights per pixel.
@@ -179,31 +179,7 @@ void fixedGradientRow(const std::int32_t* pix, int width, int height, int y,
   for (int x = 0; x < n; ++x) iy[x] = up[x] - dn[x];
 }
 
-bool envForcesScalar() {
-  const std::optional<std::string> v = env::loweredToken("PCNN_SIMD");
-  if (!v) return false;
-  return *v == "off" || *v == "0" || *v == "scalar" || *v == "false";
-}
-
 }  // namespace
-
-Kind activeKind() {
-  return envForcesScalar() ? Kind::kScalar : Kind::kBatched;
-}
-
-const char* kindName(Kind kind) {
-  return kind == Kind::kScalar ? "scalar" : "batched";
-}
-
-void recordDispatch(Kind kind) {
-  static obs::Counter& batched = obs::counter("kernel.grids_batched");
-  static obs::Counter& scalar = obs::counter("kernel.grids_scalar");
-  (kind == Kind::kBatched ? batched : scalar).add();
-  if (obs::metricsEnabled()) {
-    obs::setTag("kernel_dispatch", kindName(kind));
-    obs::setTag("simd_level", simdLevel());
-  }
-}
 
 const char* simdLevel() {
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -219,7 +195,8 @@ const char* simdLevel() {
 void voteForPixel(const HogParams& params, float gx, float gy,
                   float* histogram) {
   const float mag = std::sqrt(gx * gx + gy * gy);
-  if (mag < 1e-9f) return;  // no orientation: contributes nothing
+  // No orientation, or none that is finite: contributes nothing.
+  if (!(mag >= 1e-9f && mag <= kMaxFloat)) return;
   float angle = std::atan2(gy, gx);  // [-pi, pi]
   const float range = params.signedOrientation ? 2.0f * kPi : kPi;
   if (angle < 0.0f) angle += 2.0f * kPi;                        // [0, 2pi)

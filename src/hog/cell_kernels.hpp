@@ -32,31 +32,15 @@ namespace pcnn::hog::kernels {
 /// to the scalar one (integer math, same per-cell accumulation, monotone
 /// LUT counting == early-exit counting). The batched float kernel tracks
 /// the scalar one within the polynomial's ~1e-5 rad angle error (worst
-/// case a few 1e-3 absolute per histogram bin); tests/cell_kernels_test.cpp
-/// pins both contracts down.
+/// case a few 1e-3 absolute per histogram bin). A pixel whose gradient
+/// magnitude is not finite (a NaN or infinite pixel nearby) votes nowhere
+/// in either float kernel. tests/cell_kernels_test.cpp pins all three
+/// contracts down.
 ///
-/// Dispatch: activeKind() reads PCNN_SIMD on every call, so setting
-/// PCNN_SIMD=off (or 0/scalar/false) forces the scalar path at any point,
-/// including from a test or CI re-run of an already-built binary.
-
-enum class Kind {
-  kScalar,   ///< reference per-pixel loops
-  kBatched,  ///< SoA row kernels (default)
-};
-
-/// Kernel selected by the PCNN_SIMD environment variable (re-read on every
-/// call; unset/on means batched).
-Kind activeKind();
-
-/// "scalar" or "batched".
-const char* kindName(Kind kind);
-
-/// Observability hook called once per computed grid: bumps the per-path
-/// grid counter ("kernel.grids_batched" / "kernel.grids_scalar") and keeps
-/// the "kernel_dispatch" / "simd_level" snapshot tags current, so every
-/// metrics report carries the dispatch path that actually ran. A few
-/// relaxed branches when metrics are off.
-void recordDispatch(Kind kind);
+/// The extractors always run the batched kernels; FixedPointHog drops to
+/// the scalar one only for a model whose Q-format could overflow the
+/// batched int32 math (fixedBatchedFits). Otherwise the scalar kernels are
+/// the oracles the tests compare against.
 
 /// Best instruction set the *CPU* reports for the cloned row passes:
 /// "avx512", "avx2", "sse4.2", "sse2" or "generic" (non-x86 builds). The
@@ -64,7 +48,7 @@ void recordDispatch(Kind kind);
 /// work with, recorded into bench output for provenance.
 const char* simdLevel();
 
-/// Reference single-pixel vote (exactly HogExtractor's original private
+/// Reference single-pixel vote (HogExtractor's original private
 /// voteForPixel). Shared by the scalar kernel and cellHistogram.
 void voteForPixel(const HogParams& params, float gx, float gy,
                   float* histogram);
@@ -85,8 +69,8 @@ std::vector<std::int32_t> quantizePixels(const vision::Image& img,
 
 /// True when the batched fixed-point kernel's int32 row math cannot
 /// overflow for this model's pixelBits/tanFractionBits (holds for the
-/// defaults: 8-bit pixels, Q12 LUT). When false the dispatcher silently
-/// stays on the scalar int64 path.
+/// defaults: 8-bit pixels, Q12 LUT). When false FixedPointHog runs the
+/// scalar int64 kernel instead.
 bool fixedBatchedFits(const FixedPointHog& model);
 
 /// Integer analogues of the float row kernels, over quantized pixels

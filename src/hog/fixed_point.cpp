@@ -97,19 +97,13 @@ FixedPointHog::IntCellGrid FixedPointHog::computeCells(
       kernels::quantizePixels(img, params_.pixelBits);
 
   // The batched kernel works in int32 rows; exotic pixelBits/
-  // tanFractionBits combinations that could overflow it fall back to the
-  // scalar int64 path regardless of the dispatch setting.
-  kernels::Kind kind = kernels::activeKind();
-  if (kind == kernels::Kind::kBatched && !kernels::fixedBatchedFits(*this)) {
-    kind = kernels::Kind::kScalar;
-  }
-  kernels::recordDispatch(kind);
-
-  // Cell rows write disjoint histogram slices: safe to scan in parallel
-  // (both kernels are integer-exact, so chunking never changes results).
+  // tanFractionBits combinations that could overflow it run the scalar
+  // int64 kernel instead. Cell rows write disjoint histogram slices, and
+  // both kernels are integer-exact, so chunking never changes results.
+  const bool batched = kernels::fixedBatchedFits(*this);
   parallelForChunked(
       0, grid.cellsY, suggestedGrain(grid.cellsY), [&](long lo, long hi) {
-        if (kind == kernels::Kind::kBatched) {
+        if (batched) {
           kernels::fixedCellRowsBatched(*this, pix.data(), w, h, grid,
                                         static_cast<int>(lo),
                                         static_cast<int>(hi));

@@ -43,22 +43,14 @@ CellGrid HogExtractor::computeCells(const vision::Image& img) const {
                    0.0f);
   if (grid.cellsX <= 0 || grid.cellsY <= 0) return grid;
   const GradientField field = computeGradients(img);
-  const kernels::Kind kind = kernels::activeKind();
-  kernels::recordDispatch(kind);
   // Each cell row writes a disjoint slice of grid.data, so row blocks can
   // run on any thread without changing the result; the grain amortizes
   // pool dispatch and the batched kernel's row-buffer allocation.
   parallelForChunked(
       0, grid.cellsY, suggestedGrain(grid.cellsY), [&](long lo, long hi) {
-        if (kind == kernels::Kind::kBatched) {
-          kernels::hogCellRowsBatched(field, params_, grid,
-                                      static_cast<int>(lo),
-                                      static_cast<int>(hi));
-        } else {
-          kernels::hogCellRowsScalar(field, params_, grid,
-                                     static_cast<int>(lo),
-                                     static_cast<int>(hi));
-        }
+        kernels::hogCellRowsBatched(field, params_, grid,
+                                    static_cast<int>(lo),
+                                    static_cast<int>(hi));
       });
   return grid;
 }

@@ -214,7 +214,7 @@ class ScopedTimer {
 };
 
 // --------------------------------------------------------------------------
-// Tags (string-valued metrics: dispatch path, SIMD level, ...)
+// Tags (string-valued metrics)
 
 void setTag(const std::string& name, const std::string& value);
 

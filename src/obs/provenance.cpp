@@ -42,10 +42,8 @@ Provenance provenance() {
   Provenance p;
   p.gitSha = gitShortSha();
   p.hardwareThreads = std::thread::hardware_concurrency();
-  p.simdEnv = envOrUnset("PCNN_SIMD");
   p.numThreadsEnv = envOrUnset("PCNN_NUM_THREADS");
   p.faultsEnv = envOrUnset("PCNN_FAULTS");
-  p.tnEngineEnv = envOrUnset("PCNN_TN_ENGINE");
   p.serveQueueEnv = envOrUnset("PCNN_SERVE_QUEUE");
   p.serveDeadlineEnv = envOrUnset("PCNN_SERVE_DEADLINE_MS");
   p.obsBuild = kCompiledIn ? "on" : "off";
@@ -58,10 +56,8 @@ std::string provenanceJson(
   std::string out = "{";
   out += "\"git_sha\": \"" + p.gitSha + "\"";
   out += ", \"hardware_threads\": " + std::to_string(p.hardwareThreads);
-  out += ", \"simd_env\": \"" + p.simdEnv + "\"";
   out += ", \"num_threads_env\": \"" + p.numThreadsEnv + "\"";
   out += ", \"faults_env\": \"" + p.faultsEnv + "\"";
-  out += ", \"tn_engine_env\": \"" + p.tnEngineEnv + "\"";
   out += ", \"serve_queue_env\": \"" + p.serveQueueEnv + "\"";
   out += ", \"serve_deadline_ms_env\": \"" + p.serveDeadlineEnv + "\"";
   out += ", \"obs_build\": \"" + p.obsBuild + "\"";

@@ -12,10 +12,8 @@ namespace pcnn::obs {
 struct Provenance {
   std::string gitSha;         ///< short HEAD SHA, or "unknown"
   unsigned hardwareThreads;   ///< std::thread::hardware_concurrency()
-  std::string simdEnv;        ///< PCNN_SIMD value, or "unset"
   std::string numThreadsEnv;  ///< PCNN_NUM_THREADS value, or "unset"
   std::string faultsEnv;      ///< PCNN_FAULTS value, or "unset"
-  std::string tnEngineEnv;    ///< PCNN_TN_ENGINE value, or "unset"
   std::string serveQueueEnv;  ///< PCNN_SERVE_QUEUE value, or "unset"
   std::string serveDeadlineEnv;  ///< PCNN_SERVE_DEADLINE_MS, or "unset"
   std::string obsBuild;       ///< "on" / "off" (compile-time PCNN_OBS)
@@ -27,8 +25,8 @@ struct Provenance {
 Provenance provenance();
 
 /// `provenance()` as a JSON object, with optional caller-supplied extra
-/// string fields appended (e.g. the hog layer's resolved kernel dispatch
-/// path, which this library cannot know without depending on it).
+/// string fields appended (e.g. the hog layer's SIMD level, which this
+/// library cannot know without depending on it).
 std::string provenanceJson(
     const Provenance& p,
     const std::vector<std::pair<std::string, std::string>>& extra = {});

@@ -30,8 +30,7 @@ long tickGrain(long cores, long delivered) {
 
 }  // namespace
 
-Network::Network(std::uint64_t seed)
-    : seed_(seed), engine_(engineFromEnv()) {
+Network::Network(std::uint64_t seed) : seed_(seed) {
   queues_.resize(kMaxDelayTicks + 1);
   // PCNN_FAULTS makes every network in the process fault-injected, so a
   // whole pipeline can be degraded from the environment without code

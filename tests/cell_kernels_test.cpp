@@ -1,19 +1,24 @@
 // Scalar-vs-batched parity suite for the cell-kernel layer
-// (src/hog/cell_kernels.*). Pins the numerics contract down:
+// (src/hog/cell_kernels.*). The scalar kernels are the oracles; this pins
+// the numerics contract down:
 //  - the fixed-point row kernel is bitwise-identical to the scalar
-//    reference at any image size and dispatch setting;
+//    reference at any image size;
 //  - the float row kernel tracks the scalar atan2/sqrt reference within
 //    the polynomial's documented tolerance, across bin counts, signed /
 //    unsigned orientations, vote modes, and the bilinear wraparound bins;
-//  - PCNN_SIMD=off really forces the scalar path.
+//  - a pixel with a non-finite gradient votes nowhere in either float
+//    kernel, so NaN or infinite pixels cannot reach a bin index;
+//  - the registry extractors' grids match the scalar oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/detector.hpp"
+#include "extract/backends.hpp"
 #include "extract/registry.hpp"
 #include "hog/cell_kernels.hpp"
 #include "hog/fixed_point.hpp"
@@ -35,27 +40,51 @@ vision::Image randomImage(int width, int height, std::uint64_t seed) {
   return img;
 }
 
-/// Runs both float kernels over the same image and returns the grids.
+/// A zeroed grid of `bins`-bin cells over a width x height image.
+template <typename Grid>
+Grid zeroGrid(int width, int height, int cellSize, int bins) {
+  Grid grid;
+  grid.cellsX = width / cellSize;
+  grid.cellsY = height / cellSize;
+  grid.bins = bins;
+  grid.data.assign(
+      static_cast<std::size_t>(grid.cellsX) * grid.cellsY * grid.bins, 0);
+  return grid;
+}
+
+/// Runs both float kernels over the same gradient field.
 struct FloatPair {
   CellGrid scalar;
   CellGrid batched;
 };
 
-FloatPair runFloatKernels(const vision::Image& img, const HogParams& params) {
-  const GradientField field = computeGradients(img);
+FloatPair runFloatKernels(const GradientField& field,
+                          const HogParams& params) {
   FloatPair out;
   for (CellGrid* grid : {&out.scalar, &out.batched}) {
-    grid->cellsX = img.width() / params.cellSize;
-    grid->cellsY = img.height() / params.cellSize;
-    grid->bins = params.numBins;
-    grid->data.assign(static_cast<std::size_t>(grid->cellsX) * grid->cellsY *
-                          grid->bins,
-                      0.0f);
+    *grid = zeroGrid<CellGrid>(field.width, field.height, params.cellSize,
+                               params.numBins);
   }
   kernels::hogCellRowsScalar(field, params, out.scalar, 0, out.scalar.cellsY);
   kernels::hogCellRowsBatched(field, params, out.batched, 0,
                               out.batched.cellsY);
   return out;
+}
+
+FloatPair runFloatKernels(const vision::Image& img, const HogParams& params) {
+  return runFloatKernels(computeGradients(img), params);
+}
+
+/// The four configurations the extractors actually use: classic 9-bin
+/// unsigned weighted bilinear HoG, the 18-bin signed NApprox layout, and
+/// the hard-binning / count-vote variants.
+std::vector<HogParams> extractorConfigs() {
+  std::vector<HogParams> configs(4);
+  configs[1].numBins = 18;
+  configs[1].signedOrientation = true;
+  configs[2].weightedVote = false;
+  configs[3].bilinearBinning = false;
+  return configs;
 }
 
 void expectGridsClose(const FloatPair& grids, float tolerance) {
@@ -77,15 +106,10 @@ TEST(CellKernelParity, FixedPointBitwiseOnRandomImages) {
     const vision::Image img = randomImage(size[0], size[1], 17u + size[0]);
     const std::vector<std::int32_t> pix =
         kernels::quantizePixels(img, model.params().pixelBits);
-    FixedPointHog::IntCellGrid scalar, batched;
-    for (FixedPointHog::IntCellGrid* grid : {&scalar, &batched}) {
-      grid->cellsX = img.width() / model.params().cellSize;
-      grid->cellsY = img.height() / model.params().cellSize;
-      grid->bins = model.params().numBins;
-      grid->data.assign(static_cast<std::size_t>(grid->cellsX) *
-                            grid->cellsY * grid->bins,
-                        0);
-    }
+    auto scalar = zeroGrid<FixedPointHog::IntCellGrid>(
+        img.width(), img.height(), model.params().cellSize,
+        model.params().numBins);
+    auto batched = scalar;
     kernels::fixedCellRowsScalar(model, pix.data(), img.width(), img.height(),
                                  scalar, 0, scalar.cellsY);
     kernels::fixedCellRowsBatched(model, pix.data(), img.width(),
@@ -99,15 +123,7 @@ TEST(CellKernelParity, FixedPointBitwiseOnRandomImages) {
 }
 
 TEST(CellKernelParity, FloatToleranceAcrossConfigs) {
-  // The four configurations the extractors actually use: classic 9-bin
-  // unsigned weighted bilinear HoG, the 18-bin signed NApprox layout, and
-  // the hard-binning / count-vote variants.
-  std::vector<HogParams> configs(4);
-  configs[1].numBins = 18;
-  configs[1].signedOrientation = true;
-  configs[2].weightedVote = false;
-  configs[3].bilinearBinning = false;
-  for (const HogParams& params : configs) {
+  for (const HogParams& params : extractorConfigs()) {
     const vision::Image img = randomImage(72, 56, 99);
     // A cell accumulates 64 votes; each vote's angle is off by at most
     // ~1e-5 rad, so a per-bin slack of a few 1e-3 on O(1) magnitudes
@@ -142,19 +158,10 @@ TEST(CellKernelParity, BilinearWraparoundNearBinBoundaries) {
       field.ix[i] = std::cos(angles[i]);
       field.iy[i] = std::sin(angles[i]);
     }
-    FloatPair out;
-    for (CellGrid* grid : {&out.scalar, &out.batched}) {
-      grid->cellsX = 1;
-      grid->cellsY = 1;
-      grid->bins = params.numBins;
-      grid->data.assign(static_cast<std::size_t>(params.numBins), 0.0f);
-    }
-    kernels::hogCellRowsScalar(field, params, out.scalar, 0, 1);
-    kernels::hogCellRowsBatched(field, params, out.batched, 0, 1);
     // All magnitudes are 1; every vote splits across the seam exactly as
     // the scalar path does, up to the angle approximation scaled by the
     // 1/binWidth interpolation slope.
-    expectGridsClose(out, 1e-3f);
+    expectGridsClose(runFloatKernels(field, params), 1e-3f);
   }
 }
 
@@ -166,48 +173,113 @@ TEST(CellKernelParity, ZeroGradientPixelsVoteNowhere) {
   field.height = 4;
   field.ix.assign(16, 0.0f);
   field.iy.assign(16, 0.0f);
-  FloatPair out;
-  for (CellGrid* grid : {&out.scalar, &out.batched}) {
-    grid->cellsX = 1;
-    grid->cellsY = 1;
-    grid->bins = params.numBins;
-    grid->data.assign(static_cast<std::size_t>(params.numBins), 0.0f);
-  }
-  kernels::hogCellRowsScalar(field, params, out.scalar, 0, 1);
-  kernels::hogCellRowsBatched(field, params, out.batched, 0, 1);
+  const FloatPair out = runFloatKernels(field, params);
   for (int b = 0; b < params.numBins; ++b) {
     EXPECT_EQ(out.scalar.data[b], 0.0f);
     EXPECT_EQ(out.batched.data[b], 0.0f);
   }
 }
 
-TEST(CellKernelDispatch, EnvironmentOverrideForcesScalar) {
-  ASSERT_EQ(unsetenv("PCNN_SIMD"), 0);
-  EXPECT_EQ(kernels::activeKind(), kernels::Kind::kBatched);
-  for (const char* off : {"off", "0", "scalar", "false"}) {
-    ASSERT_EQ(setenv("PCNN_SIMD", off, 1), 0);
-    EXPECT_EQ(kernels::activeKind(), kernels::Kind::kScalar) << off;
+TEST(CellKernelParity, NonFiniteGradientsVoteNowhere) {
+  // NaN, +Inf and -Inf pixels at interior, edge and corner positions, plus
+  // a 2x2 block of +Inf whose inner differences are NaN. Every pixel whose
+  // gradient is not finite must vote nowhere, in the kernel and the oracle
+  // alike: the grids equal those of the same field with those gradients
+  // zeroed, and stay finite.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  vision::Image img = randomImage(64, 48, 5);
+  img.at(0, 0) = nan;
+  img.at(20, 10) = nan;
+  img.at(33, 0) = -inf;
+  img.at(0, 30) = inf;
+  img.at(40, 25) = -inf;
+  img.at(63, 47) = inf;
+  for (int y = 36; y < 38; ++y) {
+    for (int x = 12; x < 14; ++x) img.at(x, y) = inf;
   }
-  ASSERT_EQ(setenv("PCNN_SIMD", "on", 1), 0);
-  EXPECT_EQ(kernels::activeKind(), kernels::Kind::kBatched);
-  ASSERT_EQ(unsetenv("PCNN_SIMD"), 0);
-  EXPECT_STRNE(kernels::kindName(kernels::Kind::kScalar),
-               kernels::kindName(kernels::Kind::kBatched));
-  EXPECT_NE(kernels::simdLevel(), nullptr);
+  const GradientField field = computeGradients(img);
+  GradientField zeroed = field;
+  int nonFinite = 0;
+  for (std::size_t i = 0; i < field.ix.size(); ++i) {
+    if (std::isfinite(field.ix[i]) && std::isfinite(field.iy[i])) continue;
+    zeroed.ix[i] = zeroed.iy[i] = 0.0f;
+    ++nonFinite;
+  }
+  ASSERT_GT(nonFinite, 20);
+  for (const HogParams& params : extractorConfigs()) {
+    const FloatPair got = runFloatKernels(field, params);
+    const FloatPair want = runFloatKernels(zeroed, params);
+    EXPECT_EQ(got.scalar.data, want.scalar.data);
+    EXPECT_EQ(got.batched.data, want.batched.data);
+    expectGridsClose(got, 5e-3f);
+  }
+
+  // The same pixels in a 320x240 frame through hog detect(): every level
+  // of the pyramid scans, and each detection carries a finite score.
+  vision::Image frame = randomImage(320, 240, 6);
+  frame.at(0, 0) = nan;
+  frame.at(160, 120) = nan;
+  frame.at(319, 100) = -inf;
+  frame.at(100, 239) = inf;
+  for (int y = 60; y < 62; ++y) {
+    for (int x = 200; x < 202; ++x) frame.at(x, y) = inf;
+  }
+  const auto extractor =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
+  core::GridDetector detector(
+      core::GridDetectorParams{}, extractor,
+      [](const std::vector<float>& features) {
+        float sum = 0.0f;
+        for (const float f : features) sum += f;
+        return sum / static_cast<float>(features.size());
+      });
+  const std::vector<vision::Detection> detections = detector.detect(frame);
+  EXPECT_FALSE(detections.empty());
+  for (const vision::Detection& det : detections) {
+    EXPECT_TRUE(std::isfinite(det.score));
+  }
+}
+
+/// The scalar kernel run directly with the extractor's own parameters: the
+/// oracle its cellGrid must match.
+CellGrid scalarOracleGrid(const extract::FeatureExtractor& extractor,
+                          const vision::Image& img) {
+  if (const auto* backend =
+          dynamic_cast<const extract::HogBackend*>(&extractor)) {
+    const HogParams& params = backend->model().params();
+    auto grid = zeroGrid<CellGrid>(img.width(), img.height(),
+                                   params.cellSize, params.numBins);
+    kernels::hogCellRowsScalar(computeGradients(img), params, grid, 0,
+                               grid.cellsY);
+    return grid;
+  }
+  const FixedPointHog& model =
+      dynamic_cast<const extract::FixedPointBackend&>(extractor).model();
+  auto ints = zeroGrid<FixedPointHog::IntCellGrid>(
+      img.width(), img.height(), model.params().cellSize,
+      model.params().numBins);
+  const std::vector<std::int32_t> pix =
+      kernels::quantizePixels(img, model.params().pixelBits);
+  kernels::fixedCellRowsScalar(model, pix.data(), img.width(), img.height(),
+                               ints, 0, ints.cellsY);
+  auto grid = zeroGrid<CellGrid>(img.width(), img.height(),
+                                 model.params().cellSize,
+                                 model.params().numBins);
+  grid.data.assign(ints.data.begin(), ints.data.end());
+  return grid;
 }
 
 TEST(CellKernelDispatch, ExtractorGridsAgreeAcrossDispatch) {
-  // End-to-end: the registry extractors must produce (near-)identical cell
-  // grids whether the env forces scalar or leaves the batched default.
+  // End-to-end: the registry extractors' cell grids must match the scalar
+  // oracle -- bitwise for fixed point, within the polynomial's tolerance
+  // for float HoG.
   const vision::Image img = randomImage(96, 80, 4242);
   for (const char* spec : {"hog", "fixedpoint"}) {
     const auto extractor =
         extract::makeExtractor(spec, extract::FeatureLayout::kBlockNorm);
-    ASSERT_EQ(unsetenv("PCNN_SIMD"), 0);
     const CellGrid batched = extractor->cellGrid(img);
-    ASSERT_EQ(setenv("PCNN_SIMD", "off", 1), 0);
-    const CellGrid scalar = extractor->cellGrid(img);
-    ASSERT_EQ(unsetenv("PCNN_SIMD"), 0);
+    const CellGrid scalar = scalarOracleGrid(*extractor, img);
     ASSERT_EQ(batched.data.size(), scalar.data.size());
     ASSERT_FALSE(batched.data.empty());
     const bool exact = std::string(spec) == "fixedpoint";

@@ -588,9 +588,9 @@ TEST(DetectBatch, RescoresOnlyWindowsOverChangedCells) {
   setThreadCount(restoreThreads);
 }
 
-// A window whose scoring threw keeps the lost sentinel as its cached
-// score. The next frame retries it whatever its cells: it recovers, or is
-// counted lost again in that frame's report.
+// A window whose scoring threw, or scored NaN, keeps the lost sentinel as
+// its cached score. The next frame retries it whatever its cells: it
+// recovers, or is counted lost again in that frame's report.
 TEST(DetectBatch, LostWindowsAreRetriedOnTheNextFrame) {
   const Image scene = SyntheticVideo(smallVideo(2, 31)).frame(0).image;
   auto extractor =
@@ -600,48 +600,57 @@ TEST(DetectBatch, LostWindowsAreRetriedOnTheNextFrame) {
   params.pyramid.maxLevels = 3;
   params.temporal.smooth = false;
   const core::WindowScorer linear = fixedScorer(extractor->featureDim());
-
-  // Throws on its first 50 calls, then scores normally.
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  GridDetector flaky(params, extractor,
-                     [linear, calls](const std::vector<float>& f) {
-                       if (calls->fetch_add(1) < 50) {
-                         throw std::runtime_error("scorer hiccup");
-                       }
-                       return linear(f);
-                     });
-  std::vector<core::DegradationReport> reports;
-  const BatchDetectResult batch =
-      flaky.detectBatch({scene, scene}, {}, &reports);
-  ASSERT_EQ(batch.frames.size(), 2u);
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[0].windowsLost, 50);
-  EXPECT_EQ(reports[1].windowsLost, 0);
-  EXPECT_FALSE(reports[1].degraded());
-  EXPECT_EQ(batch.frames[1].stats.windowsRescored, 50);
   GridDetector healthy(params, extractor, linear);
-  expectSameDetections(batch.frames[1].detections, healthy.detect(scene),
-                       "recovered");
+  const float nan = std::numeric_limits<float>::quiet_NaN();
 
-  // A scorer that always throws loses every window on every frame.
-  GridDetector broken(params, extractor,
-                      [](const std::vector<float>&) -> float {
-                        throw std::runtime_error("scorer down");
-                      });
-  const BatchDetectResult down =
-      broken.detectBatch({scene, scene}, {}, &reports);
-  ASSERT_EQ(reports.size(), 2u);
-  const long windows = down.frames[0].stats.windowsRescored;
-  EXPECT_GT(windows, 0);
-  EXPECT_EQ(reports[0].windowsLost, windows);
-  EXPECT_EQ(reports[1].windowsLost, windows);
-  EXPECT_EQ(down.frames[1].stats.windowsRescored, windows);
-  EXPECT_TRUE(down.frames[1].detections.empty());
+  for (const bool scoresNan : {false, true}) {
+    const char* mode = scoresNan ? "NaN" : "throw";
+    // Fails on its first 50 calls, then scores normally.
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    GridDetector flaky(params, extractor,
+                       [linear, calls, scoresNan,
+                        nan](const std::vector<float>& f) {
+                         if (calls->fetch_add(1) < 50) {
+                           if (scoresNan) return nan;
+                           throw std::runtime_error("scorer hiccup");
+                         }
+                         return linear(f);
+                       });
+    std::vector<core::DegradationReport> reports;
+    const BatchDetectResult batch =
+        flaky.detectBatch({scene, scene}, {}, &reports);
+    ASSERT_EQ(batch.frames.size(), 2u);
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_EQ(reports[0].windowsLost, 50) << mode;
+    EXPECT_EQ(reports[1].windowsLost, 0) << mode;
+    EXPECT_FALSE(reports[1].degraded()) << mode;
+    EXPECT_EQ(batch.frames[1].stats.windowsRescored, 50) << mode;
+    expectSameDetections(batch.frames[1].detections, healthy.detect(scene),
+                         mode);
+
+    // A scorer that always fails loses every window on every frame.
+    GridDetector broken(params, extractor,
+                        [scoresNan, nan](const std::vector<float>&) -> float {
+                          if (scoresNan) return nan;
+                          throw std::runtime_error("scorer down");
+                        });
+    const BatchDetectResult down =
+        broken.detectBatch({scene, scene}, {}, &reports);
+    ASSERT_EQ(reports.size(), 2u);
+    const long windows = down.frames[0].stats.windowsRescored;
+    EXPECT_GT(windows, 0) << mode;
+    EXPECT_EQ(reports[0].windowsLost, windows) << mode;
+    EXPECT_EQ(reports[1].windowsLost, windows) << mode;
+    EXPECT_EQ(down.frames[1].stats.windowsRescored, windows) << mode;
+    EXPECT_TRUE(down.frames[0].detections.empty()) << mode;
+    EXPECT_TRUE(down.frames[1].detections.empty()) << mode;
+  }
 
   // A scorer's own -inf is a score, not a loss: nothing is retried.
   GridDetector sink(params, extractor, [](const std::vector<float>&) {
     return -std::numeric_limits<float>::infinity();
   });
+  std::vector<core::DegradationReport> reports;
   const BatchDetectResult low = sink.detectBatch({scene, scene}, {}, &reports);
   EXPECT_EQ(reports[0].windowsLost + reports[1].windowsLost, 0);
   EXPECT_EQ(low.frames[1].stats.windowsRescored, 0);
