@@ -5,12 +5,12 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "hog/hog.hpp"
+#include "extract/backends.hpp"
 #include "svm/linear_svm.hpp"
 
 namespace {
 
-double svmValAccuracy(const pcnn::hog::HogExtractor& extractor,
+double svmValAccuracy(pcnn::extract::FeatureExtractor& extractor,
                       const pcnn::bench::BenchDataset& data,
                       const std::vector<pcnn::vision::Image>& valWindows,
                       const std::vector<int>& valLabels) {
@@ -18,17 +18,17 @@ double svmValAccuracy(const pcnn::hog::HogExtractor& extractor,
   std::vector<std::vector<float>> x;
   std::vector<int> y;
   for (const auto& w : data.trainPositives) {
-    x.push_back(extractor.windowDescriptor(w));
+    x.push_back(extractor.windowFeatures(w));
     y.push_back(1);
   }
   for (const auto& w : data.trainNegatives) {
-    x.push_back(extractor.windowDescriptor(w));
+    x.push_back(extractor.windowFeatures(w));
     y.push_back(-1);
   }
   svm::LinearSvm model;
   model.train(x, y);
   std::vector<std::vector<float>> vx;
-  for (const auto& w : valWindows) vx.push_back(extractor.windowDescriptor(w));
+  for (const auto& w : valWindows) vx.push_back(extractor.windowFeatures(w));
   return model.accuracy(vx, valLabels);
 }
 
@@ -71,7 +71,8 @@ int main() {
     params.signedOrientation = c.signedOrientation;
     params.weightedVote = c.weighted;
     params.bilinearBinning = c.bilinear;
-    const hog::HogExtractor extractor(params);
+    extract::HogBackend extractor("hog", extract::FeatureLayout::kBlockNorm,
+                                  params);
     std::printf("%-42s %12.3f\n", c.name,
                 svmValAccuracy(extractor, data, valWindows, valLabels));
   }

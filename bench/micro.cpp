@@ -34,21 +34,24 @@ const vision::Image& testWindow() {
   return window;
 }
 
-void BM_ClassicHogWindow(benchmark::State& state) {
-  const hog::HogExtractor extractor;
+// One block-norm window through a registry extractor: cells plus the
+// shared block stage.
+void windowFeaturesBench(benchmark::State& state, const char* spec) {
+  const auto extractor =
+      extract::makeExtractor(spec, extract::FeatureLayout::kBlockNorm);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.windowDescriptor(testWindow()));
+    benchmark::DoNotOptimize(extractor->windowFeatures(testWindow()));
   }
   state.SetItemsProcessed(state.iterations() * 128);  // cells per window
+}
+
+void BM_ClassicHogWindow(benchmark::State& state) {
+  windowFeaturesBench(state, "hog");
 }
 BENCHMARK(BM_ClassicHogWindow);
 
 void BM_FixedPointHogWindow(benchmark::State& state) {
-  const hog::FixedPointHog extractor;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.windowDescriptor(testWindow()));
-  }
-  state.SetItemsProcessed(state.iterations() * 128);
+  windowFeaturesBench(state, "fixedpoint");
 }
 BENCHMARK(BM_FixedPointHogWindow);
 

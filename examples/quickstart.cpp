@@ -1,7 +1,8 @@
-// Quickstart: extract HoG features from a synthetic pedestrian window with
-// all three explicit extractors (classic float HoG, the FPGA fixed-point
-// baseline, and the TrueNorth NApprox approximation), run the NApprox
-// corelet on the neurosynaptic simulator, and compare the results.
+// Quickstart: extract block-normalized HoG features from a synthetic
+// pedestrian window with three registry extractors (classic float HoG, the
+// FPGA fixed-point baseline, and the TrueNorth NApprox approximation), run
+// the NApprox corelet on the neurosynaptic simulator, and compare the
+// results.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -10,10 +11,8 @@
 
 #include "common/rng.hpp"
 #include "eval/stats.hpp"
-#include "hog/fixed_point.hpp"
-#include "hog/hog.hpp"
+#include "extract/registry.hpp"
 #include "napprox/corelet.hpp"
-#include "napprox/napprox.hpp"
 #include "napprox/quantized.hpp"
 #include "vision/synth.hpp"
 
@@ -28,22 +27,23 @@ int main() {
               window.width(), window.height(), vision::meanValue(window));
 
   // 2. Classic Dalal-Triggs HoG (9 unsigned bins, block-normalized).
-  const hog::HogExtractor classic;
-  const auto classicDesc = classic.windowDescriptor(window);
+  const extract::FeatureLayout blocks = extract::FeatureLayout::kBlockNorm;
+  const auto classicDesc =
+      extract::makeExtractor("hog", blocks)->windowFeatures(window);
   std::printf("classic HoG descriptor: %zu features (expected 3780)\n",
               classicDesc.size());
 
   // 3. FPGA-style fixed-point HoG (the paper's baseline [1]).
-  const hog::FixedPointHog fpga;
-  const auto fpgaDesc = fpga.windowDescriptor(window);
+  const auto fpgaDesc =
+      extract::makeExtractor("fixedpoint", blocks)->windowFeatures(window);
   std::printf("fixed-point HoG descriptor: %zu features, correlation vs "
               "float: %.4f\n",
               fpgaDesc.size(),
               eval::pearsonCorrelation(fpgaDesc, classicDesc));
 
   // 4. NApprox HoG: 18 signed bins, count voting (paper Table 1).
-  const napprox::NApproxHog napproxFp;
-  const auto napproxDesc = napproxFp.windowDescriptor(window);
+  const auto napproxDesc =
+      extract::makeExtractor("napprox", blocks)->windowFeatures(window);
   std::printf("NApprox(fp) descriptor: %zu features (expected 7560)\n",
               napproxDesc.size());
 

@@ -23,12 +23,6 @@ hog::CellGrid HogBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
 }
 
-std::vector<float> HogBackend::windowFeatures(const vision::Image& window) {
-  return layout() == FeatureLayout::kFlatCell
-             ? model_.cellDescriptor(window)
-             : model_.windowDescriptor(window);
-}
-
 ExtractorInfo HogBackend::info() const {
   ExtractorInfo meta;
   meta.precision = "float (software reference)";
@@ -74,13 +68,6 @@ hog::CellGrid NApproxBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
 }
 
-std::vector<float> NApproxBackend::windowFeatures(
-    const vision::Image& window) {
-  return layout() == FeatureLayout::kFlatCell
-             ? model_.cellDescriptor(window)
-             : model_.windowDescriptor(window);
-}
-
 ExtractorInfo NApproxBackend::info() const {
   ExtractorInfo meta;
   meta.precision = "float";
@@ -103,13 +90,6 @@ QuantizedNApproxBackend::QuantizedNApproxBackend(
 
 hog::CellGrid QuantizedNApproxBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
-}
-
-std::vector<float> QuantizedNApproxBackend::windowFeatures(
-    const vision::Image& window) {
-  return layout() == FeatureLayout::kFlatCell
-             ? model_.cellDescriptor(window)
-             : model_.windowDescriptor(window);
 }
 
 ExtractorInfo QuantizedNApproxBackend::info() const {
@@ -143,13 +123,6 @@ ParrotBackend::ParrotBackend(std::string name, FeatureLayout layout,
 
 hog::CellGrid ParrotBackend::cellGrid(const vision::Image& image) {
   return model_.computeCells(image);
-}
-
-std::vector<float> ParrotBackend::windowFeatures(const vision::Image& window) {
-  if (layout() == FeatureLayout::kFlatCell) {
-    return model_.cellDescriptor(window);
-  }
-  return FeatureExtractor::windowFeatures(window);
 }
 
 ExtractorInfo ParrotBackend::info() const {

@@ -22,7 +22,6 @@ class HogBackend final : public FeatureExtractor {
              int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
   ExtractorInfo info() const override;
 
   const hog::HogExtractor& model() const { return model_; }
@@ -58,7 +57,6 @@ class NApproxBackend final : public FeatureExtractor {
                  int windowCellsX = 8, int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
   ExtractorInfo info() const override;
 
   const napprox::NApproxHog& model() const { return model_; }
@@ -77,7 +75,6 @@ class QuantizedNApproxBackend final : public FeatureExtractor {
                           int windowCellsX = 8, int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
   ExtractorInfo info() const override;
 
   const napprox::QuantizedNApproxHog& model() const { return model_; }
@@ -109,7 +106,6 @@ class ParrotBackend final : public FeatureExtractor {
                 int windowCellsY = 16);
 
   hog::CellGrid cellGrid(const vision::Image& image) override;
-  std::vector<float> windowFeatures(const vision::Image& window) override;
   ExtractorInfo info() const override;
   float pretrain(int numSamples, int epochs, float learningRate) override;
   void setInputSpikes(int spikes) override;

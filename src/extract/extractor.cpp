@@ -1,6 +1,7 @@
 #include "extract/extractor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -13,13 +14,53 @@ namespace pcnn::extract {
 
 namespace {
 
-hog::HogParams blockAssemblyParams(int bins) {
-  hog::HogParams hp;
-  hp.numBins = bins;
-  hp.blockCells = 2;
-  hp.blockStrideCells = 1;
-  hp.l2Normalize = true;
-  return hp;
+// The block stage's one layout (the paper's Fig. 4 configurations): blocks
+// of 2x2 cells at a one-cell stride, each L2-normalized as
+// v / sqrt(||v||^2 + eps^2). With stride 1 every window origin lines up
+// with a block of the level-wide block grid.
+constexpr int kBlockCells = 2;
+constexpr float kBlockEpsilon = 1e-3f;
+
+/// Copies the block whose top-left cell is (cellX, cellY) to dst and
+/// L2-normalizes it in place -- the single implementation behind every
+/// block path, which is what makes windowFromGrid, windowFromBlocks and
+/// updateBlocks bitwise-identical.
+void assembleBlock(const hog::CellGrid& grid, int cellX, int cellY,
+                   float* dst) {
+  const int blockLen = kBlockCells * kBlockCells * grid.bins;
+  float* block = dst;
+  for (int cy = 0; cy < kBlockCells; ++cy) {
+    for (int cx = 0; cx < kBlockCells; ++cx) {
+      const float* hist = grid.cell(cellX + cx, cellY + cy);
+      std::memcpy(dst, hist, sizeof(float) * grid.bins);
+      dst += grid.bins;
+    }
+  }
+  double sumSq = 0.0;
+  for (int i = 0; i < blockLen; ++i) {
+    sumSq += static_cast<double>(block[i]) * block[i];
+  }
+  // One divide + blockLen multiplies; detection assembles thousands of
+  // overlapping blocks per frame, and per-element division was a
+  // measurable share of the cached-grid scan.
+  const float invNorm =
+      1.0f / static_cast<float>(
+                 std::sqrt(sumSq + kBlockEpsilon * kBlockEpsilon));
+  for (int i = 0; i < blockLen; ++i) block[i] *= invNorm;
+}
+
+/// Geometry of the level-wide block grid over `grid` (data unallocated);
+/// 0 x 0 blocks when the grid is narrower or shorter than one block.
+hog::BlockGrid blockGridShape(const hog::CellGrid& grid) {
+  hog::BlockGrid blocks;
+  const int blocksX = grid.cellsX - kBlockCells + 1;
+  const int blocksY = grid.cellsY - kBlockCells + 1;
+  if (blocksX > 0 && blocksY > 0) {
+    blocks.blocksX = blocksX;
+    blocks.blocksY = blocksY;
+  }
+  blocks.blockLen = kBlockCells * kBlockCells * grid.bins;
+  return blocks;
 }
 
 }  // namespace
@@ -42,8 +83,7 @@ FeatureExtractor::FeatureExtractor(std::string name, FeatureLayout layout,
       bins_(bins),
       cellSize_(cellSize),
       windowCellsX_(windowCellsX),
-      windowCellsY_(windowCellsY),
-      blockAssembler_(blockAssemblyParams(bins)) {
+      windowCellsY_(windowCellsY) {
   if (bins_ <= 0 || cellSize_ <= 0 || windowCellsX_ <= 0 ||
       windowCellsY_ <= 0) {
     throw std::invalid_argument("FeatureExtractor: invalid geometry");
@@ -55,25 +95,35 @@ int FeatureExtractor::featureDim() const {
   switch (layout_) {
     case FeatureLayout::kFlatCell:
       return windowCellsX_ * windowCellsY_ * bins_;
-    case FeatureLayout::kBlockNorm: {
-      const int blocksX = windowCellsX_ - 1;  // 2x2 blocks, 1-cell stride
-      const int blocksY = windowCellsY_ - 1;
-      return blocksX * blocksY * 4 * bins_;
-    }
+    case FeatureLayout::kBlockNorm:
+      return (windowCellsX_ - kBlockCells + 1) *
+             (windowCellsY_ - kBlockCells + 1) * kBlockCells * kBlockCells *
+             bins_;
   }
   return 0;
 }
 
 std::vector<float> FeatureExtractor::windowFromGrid(const hog::CellGrid& grid,
                                                     int cx0, int cy0) const {
-  if (layout_ == FeatureLayout::kBlockNorm) {
-    return blockAssembler_.windowDescriptorFromGrid(grid, cx0, cy0,
-                                                    windowCellsX_,
-                                                    windowCellsY_);
-  }
   if (cx0 < 0 || cy0 < 0 || cx0 + windowCellsX_ > grid.cellsX ||
       cy0 + windowCellsY_ > grid.cellsY) {
     throw std::invalid_argument("windowFromGrid: window exceeds grid");
+  }
+  if (layout_ == FeatureLayout::kBlockNorm) {
+    const int blocksX = windowCellsX_ - kBlockCells + 1;
+    const int blocksY = windowCellsY_ - kBlockCells + 1;
+    if (blocksX <= 0 || blocksY <= 0) return {};
+    const int blockLen = kBlockCells * kBlockCells * grid.bins;
+    std::vector<float> features(static_cast<std::size_t>(blocksX) * blocksY *
+                                blockLen);
+    float* dst = features.data();
+    for (int by = 0; by < blocksY; ++by) {
+      for (int bx = 0; bx < blocksX; ++bx) {
+        assembleBlock(grid, cx0 + bx, cy0 + by, dst);
+        dst += blockLen;
+      }
+    }
+    return features;
   }
   std::vector<float> features;
   features.reserve(static_cast<std::size_t>(windowCellsX_) * windowCellsY_ *
@@ -90,7 +140,26 @@ std::vector<float> FeatureExtractor::windowFromGrid(const hog::CellGrid& grid,
 hog::BlockGrid FeatureExtractor::prepareBlocks(
     const hog::CellGrid& grid) const {
   if (layout_ != FeatureLayout::kBlockNorm) return {};
-  return blockAssembler_.blockGridFromCells(grid);
+  hog::BlockGrid blocks = blockGridShape(grid);
+  if (blocks.blocksX == 0) return blocks;
+  blocks.data.resize(static_cast<std::size_t>(blocks.blocksX) *
+                     blocks.blocksY * blocks.blockLen);
+  static obs::Counter& blocksNormalized = obs::counter("blocks_normalized");
+  blocksNormalized.add(static_cast<long>(blocks.blocksX) * blocks.blocksY);
+  // Block rows write disjoint output rows; assembleBlock only reads the
+  // grid, so chunk boundaries cannot change any value.
+  parallelForChunked(
+      0, blocks.blocksY, suggestedGrain(blocks.blocksY),
+      [&](long lo, long hi) {
+        for (long by = lo; by < hi; ++by) {
+          float* dst = blocks.block(0, static_cast<int>(by));
+          for (int bx = 0; bx < blocks.blocksX; ++bx) {
+            assembleBlock(grid, bx, static_cast<int>(by), dst);
+            dst += blocks.blockLen;
+          }
+        }
+      });
+  return blocks;
 }
 
 std::vector<float> FeatureExtractor::windowFromBlocks(
@@ -99,9 +168,23 @@ std::vector<float> FeatureExtractor::windowFromBlocks(
     throw std::logic_error(
         "windowFromBlocks: only block-norm extractors have a block grid");
   }
-  return blockAssembler_.windowDescriptorFromBlocks(blocks, cx0, cy0,
-                                                    windowCellsX_,
-                                                    windowCellsY_);
+  const int wbx = windowCellsX_ - kBlockCells + 1;
+  const int wby = windowCellsY_ - kBlockCells + 1;
+  if (wbx <= 0 || wby <= 0) return {};
+  if (cx0 < 0 || cy0 < 0 || cx0 + wbx > blocks.blocksX ||
+      cy0 + wby > blocks.blocksY) {
+    throw std::invalid_argument("windowFromBlocks: window exceeds block grid");
+  }
+  // With stride 1 the window's blocks are wby contiguous runs of wbx
+  // blocks in the level-wide grid: a straight row-wise copy.
+  const std::size_t rowLen = static_cast<std::size_t>(wbx) * blocks.blockLen;
+  std::vector<float> features(rowLen * wby);
+  float* dst = features.data();
+  for (int by = 0; by < wby; ++by) {
+    std::memcpy(dst, blocks.block(cx0, cy0 + by), sizeof(float) * rowLen);
+    dst += rowLen;
+  }
+  return features;
 }
 
 std::vector<float> FeatureExtractor::windowFeatures(
@@ -279,14 +362,18 @@ long FeatureExtractor::updateBlocks(
     hog::BlockGrid& blocks) const {
   if (layout_ != FeatureLayout::kBlockNorm) return 0;
   const int cellsX = grid.cellsX;
+  const hog::BlockGrid shape = blockGridShape(grid);
   if (changedCells.size() != static_cast<std::size_t>(cellsX) * grid.cellsY ||
-      blocks.blocksX > cellsX - 1 || blocks.blocksY > grid.cellsY - 1) {
+      blocks.blocksX != shape.blocksX || blocks.blocksY != shape.blocksY ||
+      blocks.blockLen != shape.blockLen ||
+      blocks.data.size() != static_cast<std::size_t>(shape.blocksX) *
+                                shape.blocksY * shape.blockLen) {
     throw std::invalid_argument(
         "updateBlocks: changed-cell mask or block grid does not match the "
         "cell grid");
   }
-  // The 2x2 block at (bx, by) reads cells bx..bx+1 x by..by+1; each row's
-  // runs of blocks reading a changed cell are re-normalized together.
+  // The 2x2 block at (bx, by) reads cells bx..bx+1 x by..by+1; every
+  // block reading a changed cell is re-normalized.
   long refreshed = 0;
   for (int by = 0; by < blocks.blocksY; ++by) {
     const std::uint8_t* top =
@@ -295,17 +382,10 @@ long FeatureExtractor::updateBlocks(
     auto stale = [&](int bx) {
       return (top[bx] | top[bx + 1] | bottom[bx] | bottom[bx + 1]) != 0;
     };
-    int bx = 0;
-    while (bx < blocks.blocksX) {
-      if (!stale(bx)) {
-        ++bx;
-        continue;
-      }
-      int end = bx + 1;
-      while (end < blocks.blocksX && stale(end)) ++end;
-      refreshed +=
-          blockAssembler_.refreshBlockRect(grid, blocks, bx, by, end, by + 1);
-      bx = end;
+    for (int bx = 0; bx < blocks.blocksX; ++bx) {
+      if (!stale(bx)) continue;
+      assembleBlock(grid, bx, by, blocks.block(bx, by));
+      ++refreshed;
     }
   }
   return refreshed;

@@ -150,8 +150,13 @@ class FeatureExtractor {
                     hog::BlockGrid& blocks) const;
 
   /// Features of the window whose top-left cell is (cx0, cy0), sliced out
-  /// of a cached grid. Bitwise-identical to extracting the same window's
-  /// sub-grid and assembling it standalone. Const and re-entrant.
+  /// of a cached grid. kFlatCell copies the window's cells; kBlockNorm
+  /// assembles its 2x2-cell blocks at a one-cell stride and scales each by
+  /// 1 / sqrt(||v||^2 + 1e-3^2) -- the one block layout, fixed in
+  /// extractor.cpp for every backend. Bitwise-identical to extracting the
+  /// same window's sub-grid and assembling it standalone. Throws
+  /// std::invalid_argument when the window leaves the grid. Const and
+  /// re-entrant.
   std::vector<float> windowFromGrid(const hog::CellGrid& grid, int cx0,
                                     int cy0) const;
 
@@ -169,9 +174,11 @@ class FeatureExtractor {
   std::vector<float> windowFromBlocks(const hog::BlockGrid& blocks, int cx0,
                                       int cy0) const;
 
-  /// Features of one standalone window (== windowFromGrid(cellGrid(w),0,0)
-  /// by default; backends with a native per-window path override to share
-  /// it, and the conformance suite checks the two stay bitwise-identical).
+  /// Features of one standalone window: windowFromGrid(cellGrid(w), 0, 0),
+  /// so a window larger than the detection window yields the features of
+  /// its top-left windowCellsX x windowCellsY cells. Every backend uses
+  /// this; it stays virtual only as an override point for wrappers that
+  /// time or trace extraction.
   virtual std::vector<float> windowFeatures(const vision::Image& window);
 
   /// windowFeatures over a batch, one window per pool task; results match
@@ -248,7 +255,6 @@ class FeatureExtractor {
   int cellSize_;
   int windowCellsX_;
   int windowCellsY_;
-  hog::HogExtractor blockAssembler_;  ///< block slicing for kBlockNorm
   /// Resolved once at construction; see batchFeatures.
   obs::LatencyHistogram* batchUs_;
 };

@@ -1,7 +1,6 @@
 #include "hog/fixed_point.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -38,22 +37,6 @@ std::int32_t FixedPointHog::approxMagnitude(int ix, int iy) {
   const std::int32_t mx = ax > ay ? ax : ay;
   const std::int32_t mn = ax > ay ? ay : ax;
   return mx + ((3 * mn) >> 3);
-}
-
-std::uint32_t FixedPointHog::isqrt(std::uint64_t value) {
-  std::uint64_t result = 0;
-  std::uint64_t bit = std::uint64_t{1} << 62;
-  while (bit > value) bit >>= 2;
-  while (bit != 0) {
-    if (value >= result + bit) {
-      value -= result + bit;
-      result = (result >> 1) + bit;
-    } else {
-      result >>= 1;
-    }
-    bit >>= 2;
-  }
-  return static_cast<std::uint32_t>(result);
 }
 
 int FixedPointHog::orientationBin(int ix, int iy) const {
@@ -114,96 +97,6 @@ FixedPointHog::IntCellGrid FixedPointHog::computeCells(
         }
       });
   return grid;
-}
-
-std::vector<float> FixedPointHog::windowDescriptor(
-    const vision::Image& window) const {
-  return blocksFromGrid(computeCells(window));
-}
-
-std::vector<float> FixedPointHog::blocksFromGrid(
-    const IntCellGrid& grid) const {
-  return windowDescriptorFromGrid(grid, 0, 0, grid.cellsX, grid.cellsY);
-}
-
-std::vector<float> FixedPointHog::windowDescriptorFromGrid(
-    const IntCellGrid& grid, int cx0, int cy0, int windowCellsX,
-    int windowCellsY) const {
-  const int bc = params_.blockCells;
-  const int stride = params_.blockStrideCells;
-  const int blocksX = (windowCellsX - bc) / stride + 1;
-  const int blocksY = (windowCellsY - bc) / stride + 1;
-  std::vector<float> out;
-  if (blocksX <= 0 || blocksY <= 0) return out;
-  if (cx0 < 0 || cy0 < 0 || cx0 + windowCellsX > grid.cellsX ||
-      cy0 + windowCellsY > grid.cellsY) {
-    throw std::invalid_argument(
-        "windowDescriptorFromGrid: window exceeds grid");
-  }
-
-  const int blockLen = bc * bc * grid.bins;
-  std::vector<std::int64_t> block(static_cast<std::size_t>(blockLen));
-  const float dequant =
-      1.0f / static_cast<float>(1 << params_.normFractionBits);
-  out.resize(static_cast<std::size_t>(blocksX) * blocksY * blockLen);
-  float* dst = out.data();
-
-  // The histogram values are bounded by cellSize^2 pixels of
-  // alpha-max-beta-min magnitude; when shifting them into
-  // Q(normFractionBits) still fits an int32 (true for the 8-bit/Q8
-  // defaults), the normalization quotient can use 32-bit unsigned division
-  // -- several times cheaper than the general 64-bit form and exactly
-  // equal on non-negative operands.
-  const std::int64_t maxLevel = (std::int64_t{1} << params_.pixelBits) - 1;
-  const std::int64_t maxMag = maxLevel + ((3 * maxLevel) >> 3);
-  const std::int64_t maxCell = static_cast<std::int64_t>(params_.cellSize) *
-                               params_.cellSize * maxMag;
-  const bool narrowDivide =
-      params_.normFractionBits >= 0 && params_.normFractionBits < 31 &&
-      (maxCell << params_.normFractionBits) <=
-          std::numeric_limits<std::int32_t>::max();
-
-  for (int by = 0; by < blocksY; ++by) {
-    for (int bx = 0; bx < blocksX; ++bx) {
-      int k = 0;
-      for (int cy = 0; cy < bc; ++cy) {
-        for (int cx = 0; cx < bc; ++cx) {
-          const std::int32_t* hist =
-              grid.cell(cx0 + bx * stride + cx, cy0 + by * stride + cy);
-          for (int b = 0; b < grid.bins; ++b) block[k++] = hist[b];
-        }
-      }
-      if (params_.l2Normalize) {
-        std::uint64_t sumSq = 1;  // +1 plays the epsilon role, avoids /0
-        for (int i = 0; i < blockLen; ++i) {
-          sumSq += static_cast<std::uint64_t>(block[i] * block[i]);
-        }
-        const std::uint32_t norm = isqrt(sumSq);
-        if (narrowDivide) {
-          for (int i = 0; i < blockLen; ++i) {
-            const std::uint32_t q =
-                (static_cast<std::uint32_t>(block[i])
-                 << params_.normFractionBits) /
-                norm;
-            dst[i] = static_cast<float>(q) * dequant;
-          }
-        } else {
-          for (int i = 0; i < blockLen; ++i) {
-            // v / ||v|| in Q(normFractionBits), dequantized for the SVM.
-            const std::int64_t q =
-                (block[i] << params_.normFractionBits) / norm;
-            dst[i] = static_cast<float>(q) * dequant;
-          }
-        }
-      } else {
-        for (int i = 0; i < blockLen; ++i) {
-          dst[i] = static_cast<float>(block[i]);
-        }
-      }
-      dst += blockLen;
-    }
-  }
-  return out;
 }
 
 }  // namespace pcnn::hog

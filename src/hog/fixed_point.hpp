@@ -16,22 +16,18 @@ struct FixedPointHogParams {
   int numBins = 9;          ///< unsigned orientation bins over 0-180 deg
   int tanFractionBits = 12; ///< Q-format of the tan() boundary LUT
   int cellSize = 8;
-  int blockCells = 2;
-  int blockStrideCells = 1;
-  bool l2Normalize = true;
-  int normFractionBits = 8; ///< Q-format of normalized block outputs
 };
 
-/// Integer-only HoG extractor.
+/// Integer-only HoG cell extractor.
 ///
 /// Hardware-style choices, all standard in FPGA HoG implementations:
 ///  - gradients from 8-bit pixels ([-1,0,1] masks, integer subtraction);
 ///  - magnitude via the alpha-max-plus-beta-min approximation
 ///    (max + 3*min/8) instead of a square root;
 ///  - orientation binning by comparing |Iy| against tan(boundary)*|Ix|
-///    using a 4-entry fixed-point tan lookup table -- no arctangent;
-///  - block L2 normalization with an integer square root, emitting
-///    Q(normFractionBits) values.
+///    using a 4-entry fixed-point tan lookup table -- no arctangent.
+/// The integer cell histograms feed the extractor layer's shared float
+/// block stage (extract::FixedPointBackend), like every other backend's.
 class FixedPointHog {
  public:
   explicit FixedPointHog(const FixedPointHogParams& params = {});
@@ -52,31 +48,11 @@ class FixedPointHog {
 
   IntCellGrid computeCells(const vision::Image& img) const;
 
-  /// Full block-structured window descriptor, dequantized to float so the
-  /// same SVM front-end consumes every extractor's features. All math up to
-  /// the final scaling is integer.
-  std::vector<float> windowDescriptor(const vision::Image& window) const;
-
-  /// Block assembly + integer L2 normalization over a whole precomputed
-  /// grid (the fixed-point analogue of HogExtractor::blocksFromGrid).
-  std::vector<float> blocksFromGrid(const IntCellGrid& grid) const;
-
-  /// Descriptor of the window whose top-left cell is (cx0, cy0), sliced
-  /// out of a cached per-level grid. Bitwise-identical to recomputing the
-  /// window's sub-grid and running the block stage over it.
-  std::vector<float> windowDescriptorFromGrid(const IntCellGrid& grid,
-                                              int cx0, int cy0,
-                                              int windowCellsX,
-                                              int windowCellsY) const;
-
   /// Orientation bin of an integer gradient, exposed for unit tests.
   int orientationBin(int ix, int iy) const;
 
   /// Alpha-max-beta-min magnitude approximation, exposed for unit tests.
   static std::int32_t approxMagnitude(int ix, int iy);
-
-  /// Integer square root (floor), exposed for unit tests.
-  static std::uint32_t isqrt(std::uint64_t value);
 
   /// tan(boundary) LUT in Q(tanFractionBits), exposed for the batched
   /// cell kernels (hog/cell_kernels.hpp), which re-run the same boundary

@@ -101,35 +101,4 @@ hog::CellGrid NApproxHog::computeCells(const vision::Image& img) const {
   return grid;
 }
 
-hog::HogParams NApproxHog::blockParams() const {
-  hog::HogParams hp;
-  hp.cellSize = params_.cellSize;
-  hp.numBins = params_.bins;
-  hp.signedOrientation = true;
-  hp.blockCells = params_.blockCells;
-  hp.blockStrideCells = params_.blockStrideCells;
-  hp.l2Normalize = params_.l2Normalize;
-  return hp;
-}
-
-std::vector<float> NApproxHog::windowDescriptor(
-    const vision::Image& window) const {
-  const hog::HogExtractor assembler(blockParams());
-  return assembler.blocksFromGrid(computeCells(window));
-}
-
-std::vector<float> NApproxHog::windowDescriptorFromGrid(
-    const hog::CellGrid& grid, int cx0, int cy0, int windowCellsX,
-    int windowCellsY) const {
-  const hog::HogExtractor assembler(blockParams());
-  return assembler.windowDescriptorFromGrid(grid, cx0, cy0, windowCellsX,
-                                            windowCellsY);
-}
-
-std::vector<float> NApproxHog::cellDescriptor(
-    const vision::Image& window) const {
-  hog::CellGrid grid = computeCells(window);
-  return std::move(grid.data);
-}
-
 }  // namespace pcnn::napprox

@@ -25,13 +25,12 @@ struct NApproxParams {
   float minMagnitude = 0.04f;  ///< pixels whose best projection is below
                                ///< this cast no vote (maps to the spiking
                                ///< threshold on hardware)
-  int blockCells = 2;       ///< Figure-4 configs use 2x2-cell L2 blocks
-  int blockStrideCells = 1;
-  bool l2Normalize = true;  ///< elided when feeding the Eedn classifier
 };
 
 /// Full-precision software model of NApprox HoG -- "NApprox(fp)" in
-/// Figure 4: float inputs, float cos/sin projections.
+/// Figure 4: float inputs, float cos/sin projections. Computes cells only;
+/// both feature layouts are assembled from them by the extractor layer
+/// (extract::NApproxBackend).
 class NApproxHog {
  public:
   explicit NApproxHog(const NApproxParams& params = {});
@@ -44,20 +43,6 @@ class NApproxHog {
   /// Histogram of one cell with top-left pixel (x0, y0).
   std::vector<float> cellHistogram(const vision::Image& img, int x0,
                                    int y0) const;
-
-  /// Block-structured window descriptor (layout identical to
-  /// hog::HogExtractor so the same SVM consumes either).
-  std::vector<float> windowDescriptor(const vision::Image& window) const;
-
-  /// Block descriptor of the window with top-left cell (cx0, cy0), sliced
-  /// from a cached per-level grid (shared-cell-grid detection path).
-  std::vector<float> windowDescriptorFromGrid(const hog::CellGrid& grid,
-                                              int cx0, int cy0,
-                                              int windowCellsX,
-                                              int windowCellsY) const;
-
-  /// Flat cell histograms without blocks/normalization (Eedn feature path).
-  std::vector<float> cellDescriptor(const vision::Image& window) const;
 
   /// Winning direction of a float gradient, or -1 when no direction's
   /// projection reaches minMagnitude. Strict argmax (first maximum wins);
@@ -77,7 +62,6 @@ class NApproxHog {
   float projection(float ix, float iy, int k) const;
 
  private:
-  hog::HogParams blockParams() const;
   NApproxParams params_;
   std::vector<float> cosTable_, sinTable_;
 };

@@ -158,23 +158,4 @@ hog::CellGrid QuantizedNApproxHog::computeCells(
   return grid;
 }
 
-std::vector<float> QuantizedNApproxHog::windowDescriptor(
-    const vision::Image& window) const {
-  hog::HogParams hp;
-  hp.cellSize = params_.cellSize;
-  hp.numBins = params_.bins;
-  hp.signedOrientation = true;
-  hp.blockCells = params_.blockCells;
-  hp.blockStrideCells = params_.blockStrideCells;
-  hp.l2Normalize = params_.l2Normalize;
-  const hog::HogExtractor assembler(hp);
-  return assembler.blocksFromGrid(computeCells(window));
-}
-
-std::vector<float> QuantizedNApproxHog::cellDescriptor(
-    const vision::Image& window) const {
-  hog::CellGrid grid = computeCells(window);
-  return std::move(grid.data);
-}
-
 }  // namespace pcnn::napprox

@@ -81,9 +81,8 @@ class QuantizedNApproxHog {
   std::vector<float> cellHistogram(const vision::Image& img, int x0,
                                    int y0) const;
 
+  /// Per-cell count histograms over the whole image.
   hog::CellGrid computeCells(const vision::Image& img) const;
-  std::vector<float> windowDescriptor(const vision::Image& window) const;
-  std::vector<float> cellDescriptor(const vision::Image& window) const;
 
   /// Rate-coded spike count for a pixel value (round(v * spikeWindow)).
   int quantizePixel(float value) const;

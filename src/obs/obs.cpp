@@ -106,7 +106,7 @@ struct HistBaseline {
   long buckets[LatencyHistogram::kBuckets] = {};
 };
 
-/// Counter / gauge / histogram / tag registries. Pointers handed out stay
+/// Counter / gauge / histogram registries. Pointers handed out stay
 /// valid forever (values are heap-allocated, the maps are never
 /// destroyed). Window baselines live here too, guarded by the same mutex.
 struct MetricsStore {
@@ -114,7 +114,6 @@ struct MetricsStore {
   std::map<std::string, std::unique_ptr<Counter>> counters;
   std::map<std::string, std::unique_ptr<Gauge>> gauges;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms;
-  std::map<std::string, std::string> tags;
 
   // Windowed-view state (all guarded by `mutex`).
   std::map<std::string, long> counterBase;
@@ -243,7 +242,7 @@ int configuredMetricsPeriodMs() {
 }
 
 // --------------------------------------------------------------------------
-// Counters / gauges / histograms / tags
+// Counters / gauges / histograms
 
 Counter& counter(const std::string& name) {
   auto& store = MetricsStore::instance();
@@ -272,13 +271,6 @@ LatencyHistogram& histogram(const std::string& name) {
   auto& slot = store.histograms[name];
   if (!slot) slot = std::make_unique<LatencyHistogram>();
   return *slot;
-}
-
-void setTag(const std::string& name, const std::string& value) {
-  if (!metricsEnabled()) return;
-  auto& store = MetricsStore::instance();
-  std::lock_guard<std::mutex> lock(store.mutex);
-  store.tags[name] = value;
 }
 
 void LatencyHistogram::record(double us) {
@@ -349,9 +341,6 @@ MetricsSnapshot snapshot() {
     }
     snap.histograms.push_back(std::move(stats));
   }
-  for (const auto& [name, value] : store.tags) {
-    snap.tags.emplace_back(name, value);
-  }
   return snap;
 }
 
@@ -372,15 +361,6 @@ std::string snapshotJson() {
     appendNumber(out, snap.gauges[i].second);
   }
   out += snap.gauges.empty() ? "},\n" : "\n  },\n";
-  out += "  \"tags\": {";
-  for (std::size_t i = 0; i < snap.tags.size(); ++i) {
-    out += i ? ",\n    \"" : "\n    \"";
-    appendJsonEscaped(out, snap.tags[i].first.c_str());
-    out += "\": \"";
-    appendJsonEscaped(out, snap.tags[i].second.c_str());
-    out += "\"";
-  }
-  out += snap.tags.empty() ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const HistogramStats& h = snap.histograms[i];
@@ -412,7 +392,6 @@ void resetMetrics() {
   for (auto& [name, c] : store.counters) c->reset();
   for (auto& [name, g] : store.gauges) g->reset();
   for (auto& [name, h] : store.histograms) h->reset();
-  store.tags.clear();
   // Invalidate window baselines: the next windowSnapshot() rebuilds them
   // and reports baselineReset instead of negative deltas.
   ++store.resetEpoch;
@@ -503,9 +482,6 @@ WindowSnapshot windowSnapshot() {
   for (const auto& [name, g] : store.gauges) {
     if (g->updateCount() != 0) w.gauges.emplace_back(name, g->value());
   }
-  for (const auto& [name, value] : store.tags) {
-    w.tags.emplace_back(name, value);
-  }
   return w;
 }
 
@@ -547,15 +523,6 @@ std::string windowJson(const WindowSnapshot& w) {
     appendNumber(out, h.p99Us);
     out += "}";
   }
-  out += "}, \"tags\": {";
-  for (std::size_t i = 0; i < w.tags.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"";
-    appendJsonEscaped(out, w.tags[i].first.c_str());
-    out += "\": \"";
-    appendJsonEscaped(out, w.tags[i].second.c_str());
-    out += "\"";
-  }
   out += "}}";
   return out;
 }
@@ -573,31 +540,6 @@ std::string promName(const std::string& name) {
     out += ok ? c : '_';
   }
   return out;
-}
-
-std::string promLabel(const std::string& name) {
-  std::string out;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out = "_" + out;
-  return out;
-}
-
-void appendPromEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
 }
 
 }  // namespace
@@ -631,16 +573,6 @@ std::string expositionText() {
     out += n + "_sum ";
     appendNumber(out, h.sumUs);
     out += "\n" + n + "_count " + std::to_string(h.count) + "\n";
-  }
-  if (!snap.tags.empty()) {
-    out += "# TYPE pcnn_info gauge\npcnn_info{";
-    for (std::size_t i = 0; i < snap.tags.size(); ++i) {
-      if (i) out += ",";
-      out += promLabel(snap.tags[i].first) + "=\"";
-      appendPromEscaped(out, snap.tags[i].second);
-      out += "\"";
-    }
-    out += "} 1\n";
   }
   return out;
 }

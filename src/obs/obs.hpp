@@ -10,9 +10,8 @@
 namespace pcnn::obs {
 
 /// Pipeline-wide observability layer: scoped trace spans (Chrome
-/// trace_event JSON), counters, gauges, latency histograms, and string
-/// tags, shared by every subsystem so all perf work reports against the
-/// same instruments.
+/// trace_event JSON), counters, gauges and latency histograms, shared by
+/// every subsystem so all perf work reports against the same instruments.
 ///
 /// Gating, designed so instrumentation can live permanently in hot paths:
 ///  - compile time: configuring with -DPCNN_OBS=OFF defines
@@ -214,11 +213,6 @@ class ScopedTimer {
 };
 
 // --------------------------------------------------------------------------
-// Tags (string-valued metrics)
-
-void setTag(const std::string& name, const std::string& value);
-
-// --------------------------------------------------------------------------
 // Snapshot (cumulative, since process start / last resetMetrics)
 
 struct HistogramStats {
@@ -234,19 +228,17 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, long>> counters;  ///< nonzero only
   std::vector<std::pair<std::string, double>> gauges;  ///< touched only
   std::vector<HistogramStats> histograms;              ///< nonempty only
-  std::vector<std::pair<std::string, std::string>> tags;
   bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty() &&
-           tags.empty();
+    return counters.empty() && gauges.empty() && histograms.empty();
   }
 };
 
 /// Current values of every nonzero counter / touched gauge / nonempty
-/// histogram / tag.
+/// histogram.
 MetricsSnapshot snapshot();
 /// snapshot() rendered as a JSON object.
 std::string snapshotJson();
-/// Zeroes all counters, gauges and histograms and clears tags. Bumps the
+/// Zeroes all counters, gauges and histograms. Bumps the
 /// window epoch, so a concurrent windowSnapshot() (e.g. the streaming
 /// exporter) re-baselines and flags the window instead of reporting
 /// negative deltas.
@@ -277,7 +269,6 @@ struct WindowSnapshot {
   std::vector<std::pair<std::string, long>> counters;  ///< deltas, nonzero
   std::vector<std::pair<std::string, double>> gauges;  ///< current values
   std::vector<WindowHistogramStats> histograms;        ///< count > 0 only
-  std::vector<std::pair<std::string, std::string>> tags;
 };
 
 /// Advances the global window: returns per-interval counter/histogram
@@ -304,8 +295,7 @@ std::string windowJson(const WindowSnapshot& w);
 /// snapshot() rendered in the Prometheus text exposition format: metric
 /// names are prefixed "pcnn_" and sanitized (non-[a-zA-Z0-9_] -> '_'),
 /// each metric gets one `# TYPE` line, histograms emit cumulative
-/// `_bucket{le="..."}` series plus `_sum`/`_count`, and tags are exposed
-/// as labels on a single `pcnn_info` gauge.
+/// `_bucket{le="..."}` series plus `_sum`/`_count`.
 std::string expositionText();
 
 // --------------------------------------------------------------------------

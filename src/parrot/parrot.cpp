@@ -230,23 +230,4 @@ hog::CellGrid ParrotHog::computeCells(const vision::Image& img) const {
   return grid;
 }
 
-std::vector<float> ParrotHog::cellDescriptor(
-    const vision::Image& window) const {
-  hog::CellGrid grid = computeCells(window);
-  return std::move(grid.data);
-}
-
-std::vector<float> ParrotHog::windowDescriptor(const vision::Image& window,
-                                               bool l2Normalize) const {
-  hog::HogParams hp;
-  hp.cellSize = 8;
-  hp.numBins = config_.bins;
-  hp.signedOrientation = true;
-  hp.blockCells = 2;
-  hp.blockStrideCells = 1;
-  hp.l2Normalize = l2Normalize;
-  const hog::HogExtractor assembler(hp);
-  return assembler.blocksFromGrid(computeCells(window));
-}
-
 }  // namespace pcnn::parrot

@@ -75,13 +75,6 @@ class ParrotHog {
   /// crop-independent.
   hog::CellGrid computeCells(const vision::Image& img) const;
 
-  /// Flat cell features of a window (Eedn classifier path, no block norm).
-  std::vector<float> cellDescriptor(const vision::Image& window) const;
-
-  /// Block-normalized window descriptor (SVM path).
-  std::vector<float> windowDescriptor(const vision::Image& window,
-                                      bool l2Normalize = true) const;
-
   /// Raw network output for a 100-pixel patch: per-bin vote-count
   /// estimates on the reference histogram's 0..64 scale. The patch is
   /// coded as a 10x10 image at origin (0, 0).

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -69,14 +71,30 @@ std::string caseName(const std::string& spec, FeatureLayout layout) {
   return spec + "/" + layoutName(layout);
 }
 
+/// The paper's per-window feature counts for a 64x128 window: 7*15 blocks
+/// of 2x2 cells (3780 features at 9 bins, and the 7560 the paper quotes at
+/// 18), or 8*16 flat cells (1152 and 2304).
+int paperFeatureDim(const std::string& spec, FeatureLayout layout) {
+  const bool nineBins = spec == "hog" || spec == "fixedpoint";
+  if (layout == FeatureLayout::kBlockNorm) return nineBins ? 3780 : 7560;
+  return nineBins ? 1152 : 2304;
+}
+
 TEST(ExtractorConformance, FeatureDimMatchesActualVectorLength) {
-  const vision::Image window = texturedImage(64, 128, 11);
+  // A window larger than the detection window yields the features of its
+  // top-left detection window, so its length is featureDim() too.
+  const std::vector<vision::Image> windows = {texturedImage(64, 128, 11),
+                                              texturedImage(128, 256, 12)};
   for (const auto& spec : conformanceSpecs()) {
     for (FeatureLayout layout : bothLayouts()) {
       auto ex = makeExtractor(spec, layout);
       SCOPED_TRACE(caseName(spec, layout));
-      const auto features = ex->windowFeatures(window);
-      EXPECT_EQ(static_cast<int>(features.size()), ex->featureDim());
+      EXPECT_EQ(ex->featureDim(), paperFeatureDim(spec, layout));
+      for (const auto& window : windows) {
+        const auto features = ex->windowFeatures(window);
+        EXPECT_EQ(static_cast<int>(features.size()), ex->featureDim())
+            << window.width() << "x" << window.height() << " window";
+      }
       const int cells = ex->windowCellsX() * ex->windowCellsY();
       if (layout == FeatureLayout::kFlatCell) {
         EXPECT_EQ(ex->featureDim(), cells * ex->bins());
@@ -90,14 +108,40 @@ TEST(ExtractorConformance, FeatureDimMatchesActualVectorLength) {
 }
 
 TEST(ExtractorConformance, WindowFeaturesMatchesGridPathBitwise) {
-  const vision::Image window = texturedImage(64, 128, 23);
+  const std::vector<vision::Image> windows = {texturedImage(64, 128, 23),
+                                              texturedImage(128, 256, 24)};
   for (const auto& spec : conformanceSpecs()) {
     for (FeatureLayout layout : bothLayouts()) {
       auto ex = makeExtractor(spec, layout);
       SCOPED_TRACE(caseName(spec, layout));
-      const auto direct = ex->windowFeatures(window);
-      const auto viaGrid = ex->windowFromGrid(ex->cellGrid(window), 0, 0);
-      EXPECT_EQ(direct, viaGrid);
+      for (const auto& window : windows) {
+        const auto direct = ex->windowFeatures(window);
+        const auto viaGrid = ex->windowFromGrid(ex->cellGrid(window), 0, 0);
+        EXPECT_EQ(direct, viaGrid)
+            << window.width() << "x" << window.height() << " window";
+      }
+    }
+  }
+}
+
+TEST(ExtractorConformance, WindowOutsideGridThrows) {
+  const vision::Image window = texturedImage(64, 128, 29);
+  for (const auto& spec : conformanceSpecs()) {
+    for (FeatureLayout layout : bothLayouts()) {
+      auto ex = makeExtractor(spec, layout);
+      SCOPED_TRACE(caseName(spec, layout));
+      const hog::CellGrid grid = ex->cellGrid(window);
+      for (const auto& [cx0, cy0] :
+           {std::pair{1, 0}, std::pair{0, 1}, std::pair{-1, 0}}) {
+        EXPECT_THROW(ex->windowFromGrid(grid, cx0, cy0),
+                     std::invalid_argument)
+            << "origin (" << cx0 << ", " << cy0 << ")";
+        if (layout == FeatureLayout::kBlockNorm) {
+          EXPECT_THROW(ex->windowFromBlocks(ex->prepareBlocks(grid), cx0, cy0),
+                       std::invalid_argument)
+              << "origin (" << cx0 << ", " << cy0 << ")";
+        }
+      }
     }
   }
 }
@@ -155,6 +199,57 @@ TEST(ExtractorConformance, BatchMatchesSequentialLoopAtAnyThreadCount) {
             << threads << " threads";
       }
     }
+  }
+}
+
+/// The block formula restated: a block's four cells in row-major order, a
+/// double sum of squares, eps^2 = 1e-3f * 1e-3f added in float, one float
+/// reciprocal of the square root, then one multiply per value.
+std::vector<float> referenceBlocks(const hog::CellGrid& grid, int cx0,
+                                   int cy0, int blocksX, int blocksY) {
+  std::vector<float> out;
+  for (int by = 0; by < blocksY; ++by) {
+    for (int bx = 0; bx < blocksX; ++bx) {
+      std::vector<float> block;
+      for (int cy = 0; cy < 2; ++cy) {
+        for (int cx = 0; cx < 2; ++cx) {
+          const float* cell = grid.cell(cx0 + bx + cx, cy0 + by + cy);
+          block.insert(block.end(), cell, cell + grid.bins);
+        }
+      }
+      double sumSq = 0.0;
+      for (float v : block) sumSq += static_cast<double>(v) * v;
+      const float eps = 1e-3f;
+      const float invNorm =
+          1.0f / static_cast<float>(std::sqrt(sumSq + eps * eps));
+      for (float v : block) out.push_back(v * invNorm);
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> bitsOf(const std::vector<float>& values) {
+  std::vector<std::uint32_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), sizeof(float) * values.size());
+  return bits;
+}
+
+TEST(BlockStage, MatchesReferenceFormulaBitwise) {
+  vision::SyntheticPersonDataset synth;
+  Rng rng(19);
+  const vision::Image window = synth.positiveWindow(rng);
+  for (const std::string spec : {"hog", "napprox"}) {
+    SCOPED_TRACE(spec);
+    auto ex = makeExtractor(spec, FeatureLayout::kBlockNorm);
+    const hog::CellGrid grid = ex->cellGrid(window);
+    const int blocksX = grid.cellsX - 1;
+    const int blocksY = grid.cellsY - 1;
+    const auto reference = referenceBlocks(grid, 0, 0, blocksX, blocksY);
+    const hog::BlockGrid blocks = ex->prepareBlocks(grid);
+    EXPECT_EQ(blocks.blocksX, blocksX);
+    EXPECT_EQ(blocks.blocksY, blocksY);
+    EXPECT_EQ(bitsOf(blocks.data), bitsOf(reference));
+    EXPECT_EQ(bitsOf(ex->windowFromGrid(grid, 0, 0)), bitsOf(reference));
   }
 }
 

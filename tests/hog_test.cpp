@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "extract/backends.hpp"
 #include "hog/fixed_point.hpp"
 #include "hog/gradient.hpp"
 #include "hog/hog.hpp"
@@ -128,34 +129,32 @@ TEST(HogExtractor, BilinearSplitsVoteBetweenBins) {
 }
 
 TEST(HogExtractor, DescriptorSizeMatchesDalal) {
-  HogParams params;  // 9 bins
-  const HogExtractor hog(params);
-  EXPECT_EQ(hog.descriptorSize(64, 128), 3780);  // 7*15*4*9
+  const extract::HogBackend hog("hog", extract::FeatureLayout::kBlockNorm);
+  EXPECT_EQ(hog.featureDim(), 3780);  // 7*15*4*9
 
-  HogParams params18 = params;
+  HogParams params18;
   params18.numBins = 18;
   params18.signedOrientation = true;
-  const HogExtractor hog18(params18);
+  const extract::HogBackend hog18("hog", extract::FeatureLayout::kBlockNorm,
+                                  params18);
   // The paper's 7,560 = 7*15*18*4 feature elements per window.
-  EXPECT_EQ(hog18.descriptorSize(64, 128), 7560);
+  EXPECT_EQ(hog18.featureDim(), 7560);
 }
 
 TEST(HogExtractor, WindowDescriptorLengthMatches) {
-  const HogExtractor hog;
+  extract::HogBackend hog("hog", extract::FeatureLayout::kBlockNorm);
   vision::Image window(64, 128, 0.5f);
-  EXPECT_EQ(static_cast<int>(hog.windowDescriptor(window).size()),
-            hog.descriptorSize(64, 128));
+  EXPECT_EQ(static_cast<int>(hog.windowFeatures(window).size()),
+            hog.featureDim());
 }
 
 TEST(HogExtractor, L2NormalizedBlocksHaveUnitOrZeroNorm) {
   pcnn::Rng rng(17);
   vision::SyntheticPersonDataset dataset;
   const vision::Image window = dataset.positiveWindow(rng);
-  HogParams params;
-  params.l2Epsilon = 1e-6f;
-  const HogExtractor hog(params);
-  const auto desc = hog.windowDescriptor(window);
-  const int blockLen = 4 * params.numBins;
+  extract::HogBackend hog("hog", extract::FeatureLayout::kBlockNorm);
+  const auto desc = hog.windowFeatures(window);
+  const int blockLen = 4 * hog.bins();
   ASSERT_EQ(desc.size() % blockLen, 0u);
   for (std::size_t b = 0; b < desc.size(); b += blockLen) {
     double norm = 0.0;
@@ -170,10 +169,11 @@ TEST(HogExtractor, CellDescriptorIsFlatGrid) {
   HogParams params;
   params.numBins = 18;
   params.signedOrientation = true;
-  const HogExtractor hog(params);
+  extract::HogBackend hog("hog", extract::FeatureLayout::kFlatCell, params);
   vision::Image window(64, 128, 0.5f);
-  EXPECT_EQ(hog.cellDescriptor(window).size(),
-            static_cast<std::size_t>(8 * 16 * 18));
+  const auto features = hog.windowFeatures(window);
+  EXPECT_EQ(features.size(), static_cast<std::size_t>(8 * 16 * 18));
+  EXPECT_EQ(features, HogExtractor(params).computeCells(window).data);
 }
 
 TEST(HogExtractor, InvalidParamsThrow) {
@@ -202,15 +202,6 @@ TEST(FixedPointHog, MagnitudeApproximationWithinBounds) {
       EXPECT_GE(approx, std::max(std::abs(ix), std::abs(iy)));
     }
   }
-}
-
-TEST(FixedPointHog, IntegerSqrt) {
-  EXPECT_EQ(FixedPointHog::isqrt(0), 0u);
-  EXPECT_EQ(FixedPointHog::isqrt(1), 1u);
-  EXPECT_EQ(FixedPointHog::isqrt(15), 3u);
-  EXPECT_EQ(FixedPointHog::isqrt(16), 4u);
-  EXPECT_EQ(FixedPointHog::isqrt(1000000), 1000u);
-  EXPECT_EQ(FixedPointHog::isqrt(999999), 999u);
 }
 
 TEST(FixedPointHog, OrientationBinMatchesFloatAtan) {
@@ -247,13 +238,15 @@ TEST(FixedPointHog, DescriptorMatchesFloatHogQualitatively) {
   vision::SyntheticPersonDataset dataset;
   const vision::Image window = dataset.positiveWindow(rng);
 
-  const FixedPointHog fixedHog;
+  extract::FixedPointBackend fixedHog("fixedpoint",
+                                     extract::FeatureLayout::kBlockNorm);
   HogParams floatParams;
   floatParams.bilinearBinning = false;  // fixed-point bins to nearest
-  const HogExtractor floatHog(floatParams);
+  extract::HogBackend floatHog("hog", extract::FeatureLayout::kBlockNorm,
+                               floatParams);
 
-  const auto fixedDesc = fixedHog.windowDescriptor(window);
-  const auto floatDesc = floatHog.windowDescriptor(window);
+  const auto fixedDesc = fixedHog.windowFeatures(window);
+  const auto floatDesc = floatHog.windowFeatures(window);
   ASSERT_EQ(fixedDesc.size(), floatDesc.size());
 
   double dot = 0, na = 0, nb = 0;
@@ -306,90 +299,15 @@ TEST(FixedPointHog, CellGridGeometry) {
 
 // --- Cached-grid descriptor parity ---------------------------------------
 
-vision::Image syntheticWindow(std::uint64_t seed) {
-  vision::SyntheticPersonDataset synth;
-  Rng rng(seed);
-  return synth.positiveWindow(rng);
-}
-
 TEST(HogExtractor, GridDescriptorMatchesWindowDescriptorBitwise) {
-  const HogExtractor hog;
-  const vision::Image window = syntheticWindow(3);
-  const CellGrid grid = hog.computeCells(window);
-  const auto fromGrid =
-      hog.windowDescriptorFromGrid(grid, 0, 0, grid.cellsX, grid.cellsY);
-  const auto reference = hog.windowDescriptor(window);
-  ASSERT_EQ(fromGrid.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(fromGrid[i], reference[i]) << "mismatch at " << i;
-  }
-}
-
-TEST(HogExtractor, GridDescriptorSliceMatchesManualSubGrid) {
-  // Slicing a window out of a larger scene grid must equal assembling the
-  // same descriptor from an explicitly copied sub-grid.
-  const HogExtractor hog;
+  // A window sliced out of the level-wide block grid equals extracting the
+  // window standalone.
   vision::SyntheticPersonDataset synth;
-  Rng rng(11);
-  const vision::Image scene = synth.scene(rng, 160, 192, 1).image;
-  const CellGrid grid = hog.computeCells(scene);
-  const int cx0 = 3, cy0 = 2, wcx = 8, wcy = 16;
-  CellGrid sub;
-  sub.cellsX = wcx;
-  sub.cellsY = wcy;
-  sub.bins = grid.bins;
-  for (int cy = 0; cy < wcy; ++cy) {
-    for (int cx = 0; cx < wcx; ++cx) {
-      const float* src = grid.cell(cx0 + cx, cy0 + cy);
-      sub.data.insert(sub.data.end(), src, src + grid.bins);
-    }
-  }
-  const auto sliced = hog.windowDescriptorFromGrid(grid, cx0, cy0, wcx, wcy);
-  const auto copied = hog.blocksFromGrid(sub);
-  ASSERT_EQ(sliced.size(), copied.size());
-  for (std::size_t i = 0; i < sliced.size(); ++i) {
-    EXPECT_EQ(sliced[i], copied[i]) << "mismatch at " << i;
-  }
-}
-
-TEST(HogExtractor, GridDescriptorOutOfRangeThrows) {
-  const HogExtractor hog;
-  const CellGrid grid = hog.computeCells(vision::Image(64, 128, 0.5f));
-  EXPECT_THROW(hog.windowDescriptorFromGrid(grid, 1, 0, 8, 16),
-               std::invalid_argument);
-  EXPECT_THROW(hog.windowDescriptorFromGrid(grid, 0, 1, 8, 16),
-               std::invalid_argument);
-}
-
-TEST(FixedPointHog, GridDescriptorMatchesWindowDescriptorBitwise) {
-  const FixedPointHog hog;
-  const vision::Image window = syntheticWindow(5);
-  const auto grid = hog.computeCells(window);
-  const auto fromGrid =
-      hog.windowDescriptorFromGrid(grid, 0, 0, grid.cellsX, grid.cellsY);
-  const auto reference = hog.windowDescriptor(window);
-  ASSERT_EQ(fromGrid.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(fromGrid[i], reference[i]) << "mismatch at " << i;
-  }
-}
-
-TEST(FixedPointHog, GridDescriptorSliceMatchesFullGridPrefix) {
-  // The fixed-point path normalizes each block independently, so a slice
-  // anchored at (0,0) of the full grid must reproduce the corresponding
-  // prefix blocks of blocksFromGrid bitwise.
-  const FixedPointHog hog;
-  vision::SyntheticPersonDataset synth;
-  Rng rng(13);
-  const vision::Image scene = synth.scene(rng, 128, 160, 1).image;
-  const auto grid = hog.computeCells(scene);
-  const auto sliced = hog.windowDescriptorFromGrid(grid, 0, 0, 2, 2);
-  // 2x2 cells -> exactly one 2x2 block: the first block of the full grid.
-  const auto full = hog.blocksFromGrid(grid);
-  ASSERT_EQ(sliced.size(), 4u * static_cast<std::size_t>(grid.bins));
-  for (std::size_t i = 0; i < sliced.size(); ++i) {
-    EXPECT_EQ(sliced[i], full[i]) << "mismatch at " << i;
-  }
+  Rng rng(3);
+  const vision::Image window = synth.positiveWindow(rng);
+  extract::HogBackend hog("hog", extract::FeatureLayout::kBlockNorm);
+  const BlockGrid blocks = hog.prepareBlocks(hog.cellGrid(window));
+  EXPECT_EQ(hog.windowFromBlocks(blocks, 0, 0), hog.windowFeatures(window));
 }
 
 }  // namespace

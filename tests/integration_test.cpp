@@ -10,8 +10,6 @@
 #include "eval/detection_eval.hpp"
 #include "eval/stats.hpp"
 #include "extract/registry.hpp"
-#include "hog/hog.hpp"
-#include "napprox/napprox.hpp"
 #include "svm/linear_svm.hpp"
 #include "svm/mining.hpp"
 #include "vision/synth.hpp"
@@ -41,15 +39,17 @@ Dataset makeDataset(int trainCount, int sceneCount, std::uint64_t seed) {
 
 TEST(Integration, SvmOnHogSeparatesSyntheticPeople) {
   const Dataset data = makeDataset(80, 0, 1);
-  const hog::HogExtractor extractor;  // classic 9-bin HoG
+  // Classic 9-bin HoG.
+  const auto extractor =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
   std::vector<std::vector<float>> x;
   std::vector<int> y;
   for (const auto& w : data.positives) {
-    x.push_back(extractor.windowDescriptor(w));
+    x.push_back(extractor->windowFeatures(w));
     y.push_back(1);
   }
   for (const auto& w : data.negatives) {
-    x.push_back(extractor.windowDescriptor(w));
+    x.push_back(extractor->windowFeatures(w));
     y.push_back(-1);
   }
   svm::LinearSvm model;
@@ -65,7 +65,7 @@ TEST(Integration, SvmOnHogSeparatesSyntheticPeople) {
     const bool positive = i % 2 == 0;
     const vision::Image w =
         positive ? synth.positiveWindow(rng) : synth.negativeWindow(rng);
-    if (model.predict(extractor.windowDescriptor(w)) == (positive ? 1 : -1)) {
+    if (model.predict(extractor->windowFeatures(w)) == (positive ? 1 : -1)) {
       ++correct;
     }
   }
@@ -76,15 +76,16 @@ TEST(Integration, NApproxFeaturesMatchSvmQuality) {
   // NApprox(fp) features should be roughly as separable as classic HoG
   // (the Figure 4 claim, in miniature).
   const Dataset data = makeDataset(60, 0, 2);
-  const napprox::NApproxHog napproxHog;
+  const auto napproxHog =
+      extract::makeExtractor("napprox", extract::FeatureLayout::kBlockNorm);
   std::vector<std::vector<float>> x;
   std::vector<int> y;
   for (const auto& w : data.positives) {
-    x.push_back(napproxHog.windowDescriptor(w));
+    x.push_back(napproxHog->windowFeatures(w));
     y.push_back(1);
   }
   for (const auto& w : data.negatives) {
-    x.push_back(napproxHog.windowDescriptor(w));
+    x.push_back(napproxHog->windowFeatures(w));
     y.push_back(-1);
   }
   svm::LinearSvm model;
@@ -182,13 +183,14 @@ TEST(Integration, TrainedClassifierRunsOnTrueNorthSimulator) {
   // matches the reference semantics spike for spike.
   vision::SyntheticPersonDataset synth;
   Rng rng(31);
-  const napprox::NApproxHog featureHog;
+  const auto featureHog =
+      extract::makeExtractor("napprox", extract::FeatureLayout::kFlatCell);
 
   // Binarize cell features (vote count >= 4) so the deployed network
   // consumes single-tick binary inputs; restrict to the first 120 feature
   // dims to keep the mapped fan-in within one core for this test.
   auto binaryFeatures = [&](const vision::Image& w) {
-    const auto counts = featureHog.cellDescriptor(w);
+    const auto counts = featureHog->windowFeatures(w);
     std::vector<float> bits(120);
     for (int i = 0; i < 120; ++i) bits[i] = counts[i] >= 4.0f ? 1.0f : 0.0f;
     return bits;

@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "eval/stats.hpp"
+#include "extract/backends.hpp"
 #include "napprox/corelet.hpp"
 #include "napprox/napprox.hpp"
 #include "napprox/quantized.hpp"
@@ -93,11 +94,12 @@ TEST(NApproxHog, CellHistogramCountsVotes) {
 }
 
 TEST(NApproxHog, DescriptorShapes) {
-  const NApproxHog hog;
+  extract::NApproxBackend blocks("napprox", extract::FeatureLayout::kBlockNorm);
+  extract::NApproxBackend cells("napprox", extract::FeatureLayout::kFlatCell);
   vision::Image window(64, 128, 0.5f);
-  EXPECT_EQ(hog.windowDescriptor(window).size(),
+  EXPECT_EQ(blocks.windowFeatures(window).size(),
             static_cast<std::size_t>(7560));
-  EXPECT_EQ(hog.cellDescriptor(window).size(),
+  EXPECT_EQ(cells.windowFeatures(window).size(),
             static_cast<std::size_t>(8 * 16 * 18));
 }
 

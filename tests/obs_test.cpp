@@ -238,17 +238,16 @@ TEST(ObsCounters, ThreadSafeUnderParallelFor) {
   EXPECT_NEAR(lat.sumMicros(), expectedSum, 1.0);
 }
 
-TEST(ObsCounters, SnapshotReportsCountersHistogramsAndTags) {
+TEST(ObsCounters, SnapshotReportsCountersAndHistograms) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "built with PCNN_OBS=OFF";
   ObsStateGuard guard;
   obs::setMetricsEnabled(true);
 
   obs::counter("test.snapshot_counter").add(42);
   obs::histogram("test.snapshot_us").record(3.0);
-  obs::setTag("test.tag", "value");
 
   const obs::MetricsSnapshot snap = obs::snapshot();
-  bool sawCounter = false, sawHist = false, sawTag = false;
+  bool sawCounter = false, sawHist = false;
   for (const auto& [name, value] : snap.counters) {
     if (name == "test.snapshot_counter") {
       sawCounter = true;
@@ -261,15 +260,8 @@ TEST(ObsCounters, SnapshotReportsCountersHistogramsAndTags) {
       EXPECT_EQ(hist.count, 1);
     }
   }
-  for (const auto& [name, value] : snap.tags) {
-    if (name == "test.tag") {
-      sawTag = true;
-      EXPECT_EQ(value, "value");
-    }
-  }
   EXPECT_TRUE(sawCounter);
   EXPECT_TRUE(sawHist);
-  EXPECT_TRUE(sawTag);
 
   // The JSON rendering of the same snapshot must parse back.
   JsonValue doc;
@@ -651,7 +643,6 @@ TEST(ObsProm, ExpositionTextDeclaresEachMetricOnce) {
   obs::counter("test.prom_counter").add(4);
   obs::gauge("test.prom_gauge").set(1.5);
   obs::histogram("test.prom_us").record(3.0);
-  obs::setTag("test.prom_tag", "v");
   const std::string text = obs::expositionText();
 
   auto countOf = [&](const std::string& needle) {
@@ -673,9 +664,6 @@ TEST(ObsProm, ExpositionTextDeclaresEachMetricOnce) {
   EXPECT_EQ(countOf("pcnn_test_prom_us_bucket{le=\"+Inf\"} 1"), 1u);
   EXPECT_EQ(countOf("pcnn_test_prom_us_count 1"), 1u);
   EXPECT_EQ(countOf("pcnn_test_prom_us_sum"), 1u);
-  // Tags ride on a single info gauge.
-  EXPECT_EQ(countOf("# TYPE pcnn_info gauge"), 1u);
-  EXPECT_EQ(countOf("test_prom_tag=\"v\""), 1u);
 
   // Every TYPE'd metric name is known, and every sample line belongs to a
   // declared metric.
@@ -793,7 +781,6 @@ TEST(ObsDisabled, RecordsNothingAndSnapshotIsEmpty) {
 
   obs::counter("test.disabled_counter").add(5);
   obs::histogram("test.disabled_us").record(1.0);
-  obs::setTag("test.disabled_tag", "x");
   {
     PCNN_SPAN("test.disabled_span");
   }
