@@ -7,6 +7,7 @@
 // laptop; the *shape* of each result is what must match the paper.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,9 +16,12 @@
 #include "common/rng.hpp"
 #include "core/detector.hpp"
 #include "eval/detection_eval.hpp"
+#include "extract/extractor.hpp"
 #include "hog/cell_kernels.hpp"
 #include "io/bundle.hpp"
 #include "obs/provenance.hpp"
+#include "svm/linear_svm.hpp"
+#include "svm/mining.hpp"
 #include "vision/pyramid.hpp"
 #include "vision/sliding_window.hpp"
 #include "vision/synth.hpp"
@@ -115,6 +119,40 @@ inline std::vector<eval::ImageResult> evaluateDetector(
     results.push_back(std::move(r));
   }
   return results;
+}
+
+/// Figure 4's detection protocol for one extractor: an SVM trained on the
+/// training windows plus one hard-negative round over the person-free
+/// scenes, then a GridDetector sweep over the test scenes. The extractor is
+/// shared by mining and detection, so both read features off cached
+/// per-level cell grids.
+struct SvmDetectionRun {
+  svm::MiningResult mining;
+  std::vector<eval::CurvePoint> curve;
+};
+
+inline SvmDetectionRun runSvmDetection(
+    const std::shared_ptr<extract::FeatureExtractor>& extractor,
+    const BenchDataset& data) {
+  svm::LinearSvm model;
+  svm::MiningParams mining;
+  mining.mineThreshold = -0.25f;  // near-boundary windows count as hard
+  mining.scan.strideX = 16;
+  mining.scan.strideY = 16;
+  mining.scan.pyramid.maxLevels = 3;
+  SvmDetectionRun run;
+  run.mining = svm::trainWithHardNegatives(
+      model, *extractor, data.trainPositives, data.trainNegatives,
+      data.negativeScenes, mining);
+
+  core::GridDetectorParams params;
+  params.scoreThreshold = -2.0f;  // keep a wide sweep for the curve
+  const core::GridDetector detector(
+      params, extractor, [&model](const std::vector<float>& f) {
+        return static_cast<float>(model.decision(f));
+      });
+  run.curve = eval::missRateCurve(evaluateDetector(detector, data.testScenes));
+  return run;
 }
 
 /// Prints a miss-rate/FPPI curve as a fixed set of sample points plus the

@@ -129,8 +129,12 @@ int main(int argc, char** argv) {
   double bundleMs = -1.0;
   std::string bundleSpec;
   if (const std::optional<std::string> bundlePath = env::raw("PCNN_BUNDLE")) {
+    StatusOr<io::Bundle> bundle = io::Bundle::tryLoadFile(*bundlePath);
     StatusOr<std::shared_ptr<extract::FeatureExtractor>> loaded =
-        extract::ExtractorRegistry::instance().tryLoadBundle(*bundlePath);
+        bundle.ok() ? extract::ExtractorRegistry::instance().tryLoadExtractor(
+                          bundle.value())
+                    : StatusOr<std::shared_ptr<extract::FeatureExtractor>>(
+                          bundle.status());
     if (loaded.ok()) {
       bundleSpec = loaded.value()->name();
       const auto bundleScore = randomScorer(loaded.value()->featureDim());

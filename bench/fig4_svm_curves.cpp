@@ -5,14 +5,11 @@
 // Expected shape (paper): the three curves nearly coincide -- all three
 // extractors produce similar-quality features.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "extract/registry.hpp"
-#include "svm/linear_svm.hpp"
-#include "svm/mining.hpp"
 
 namespace {
 
@@ -20,34 +17,13 @@ void runSpec(const std::string& spec, const pcnn::bench::BenchDataset& data) {
   using namespace pcnn;
   const auto extractor =
       extract::makeExtractor(spec, extract::FeatureLayout::kBlockNorm);
-
-  // Train the SVM on block descriptors with one hard-negative round. The
-  // extractor is shared with the detector below, so mining scans negative
-  // scenes over cached per-level cell grids too.
-  svm::LinearSvm model;
-  svm::MiningParams mining;
-  mining.mineThreshold = -0.25f;  // near-boundary windows count as hard
-  mining.scan.strideX = 16;
-  mining.scan.strideY = 16;
-  mining.scan.pyramid.maxLevels = 3;
-  const auto miningResult = svm::trainWithHardNegatives(
-      model, *extractor, data.trainPositives, data.trainNegatives,
-      data.negativeScenes, mining);
-
-  core::GridDetectorParams params;
-  params.scoreThreshold = -2.0f;  // keep a wide sweep for the curve
-  core::GridDetector detector(params, extractor,
-                              [&model](const std::vector<float>& f) {
-                                return static_cast<float>(model.decision(f));
-                              });
-  const auto results = bench::evaluateDetector(detector, data.testScenes);
+  const bench::SvmDetectionRun run = bench::runSvmDetection(extractor, data);
   const auto info = extractor->info();
   std::printf("[%s] %s, %d bins; mined %d hard negatives, train accuracy "
               "%.3f\n",
               spec.c_str(), info.precision.c_str(), extractor->bins(),
-              miningResult.minedNegatives, miningResult.finalTrainAccuracy);
-  bench::printCurve("miss rate vs FPPI (" + spec + ")",
-                    eval::missRateCurve(results));
+              run.mining.minedNegatives, run.mining.finalTrainAccuracy);
+  bench::printCurve("miss rate vs FPPI (" + spec + ")", run.curve);
 }
 
 }  // namespace

@@ -56,20 +56,17 @@ struct DetectOptions {
   /// than silent. Small far-away targets are lost first; coarse levels
   /// (near, large targets) keep scanning.
   int skipFinestLevels = 0;
-  /// Polled before every pyramid level; returning true abandons this and
-  /// all remaining levels, each recorded as a LevelSkip with
-  /// StatusCode::kDeadlineExceeded. Detections from levels that already
-  /// completed are still returned.
-  std::function<bool()> cancel;
 };
 
 /// Per-burst controls for detectBatch.
 struct BatchOptions {
   DetectOptions detect;  ///< applied to every frame of the burst
   /// Absolute per-frame deadlines on the obs::nowMicros() clock. Empty =
-  /// no deadlines; 0 for a frame = no deadline for that frame. A frame
-  /// whose deadline passes mid-scan abandons its remaining pyramid levels
-  /// exactly like DetectOptions::cancel.
+  /// no deadlines; 0 for a frame = no deadline for that frame. The
+  /// deadline is checked before every pyramid level: once it has passed,
+  /// that level and every remaining one are abandoned, each recorded as a
+  /// LevelSkip with StatusCode::kDeadlineExceeded. Detections from levels
+  /// that already completed are still returned.
   std::vector<double> deadlineUs;
 };
 
@@ -127,15 +124,14 @@ class GridDetector {
   /// EednClassifier::score. Detections are emitted in row-major level
   /// order, so results are identical for any thread count.
   ///
-  /// `options` may override the threshold, shed the finest levels, or
-  /// cancel the remaining ones (each recorded in `report` as a LevelSkip,
-  /// kUnavailable / kDeadlineExceeded). When `report` is non-null it is
-  /// also filled with what the scan had to give up: a pyramid level whose
-  /// grid the extractor cannot produce is skipped (emitting a
-  /// "detect.level.degraded" span and counter) instead of aborting the
-  /// scene, individual windows whose feature assembly or scoring throws
-  /// are dropped, and simulator fault activity during the call is
-  /// attributed.
+  /// `options` may override the threshold or shed the finest levels (each
+  /// recorded in `report` as a LevelSkip, kUnavailable). When `report` is
+  /// non-null it is also filled with what the scan had to give up: a
+  /// pyramid level whose grid the extractor cannot produce is skipped
+  /// (emitting a "detect.level.degraded" span and counter) instead of
+  /// aborting the scene, individual windows whose feature assembly or
+  /// scoring throws are dropped, and simulator fault activity during the
+  /// call is attributed.
   std::vector<vision::Detection> detect(
       const vision::Image& scene, const DetectOptions& options = {},
       DegradationReport* report = nullptr) const;

@@ -65,7 +65,7 @@ struct ScanMetrics {
   obs::Counter& levelsDegraded = obs::counter("detect.level.degraded");
   obs::Counter& windowsLost = obs::counter("detect.windows_lost");
   /// Levels deliberately shed (DetectOptions::skipFinestLevels) and levels
-  /// abandoned by a deadline/cancel hook -- deliberate quality loss, kept
+  /// abandoned past a frame deadline -- deliberate quality loss, kept
   /// separate from the failure-driven detect.level.degraded counter.
   obs::Counter& levelsShed = obs::counter("detect.level.shed");
   obs::Counter& levelsExpired = obs::counter("detect.level.deadline");
@@ -424,7 +424,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
   }
 
   long levelIndex = -1;
-  bool abandoned = false;  // the deadline/cancel hook fired mid-frame
+  bool abandoned = false;  // the frame deadline passed mid-frame
   for (TemporalCache::Level& lc : cache.levels) {
     ++levelIndex;
     PCNN_SPAN_ARG("detect.level", "level", levelIndex);
@@ -456,9 +456,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       }
       continue;
     }
-    if (!abandoned &&
-        ((options.cancel && options.cancel()) ||
-         (deadlineUs > 0.0 && obs::nowMicros() > deadlineUs))) {
+    if (!abandoned && deadlineUs > 0.0 && obs::nowMicros() > deadlineUs) {
       abandoned = true;
     }
     if (abandoned) {

@@ -174,9 +174,9 @@ StatusOr<std::vector<int>> parseHiddenWidths(const std::string& field) {
 Status readIntField(const io::Manifest& manifest, const char* key,
                     int& out) {
   if (manifest.find(key) == nullptr) return Status::Ok();
-  StatusOr<long> value = manifest.getInt(key);
+  StatusOr<int> value = manifest.getInt(key);
   if (!value.ok()) return value.status();
-  out = static_cast<int>(value.value());
+  out = value.value();
   return Status::Ok();
 }
 
@@ -222,16 +222,6 @@ Status PartitionedPipeline::packBundle(
   return Status::Ok();
 }
 
-Status PartitionedPipeline::trySaveBundle(
-    const std::string& path,
-    const extract::ExtractorOptions& extractorOptions) {
-  io::Bundle bundle;
-  if (Status status = packBundle(bundle, extractorOptions); !status.ok()) {
-    return status;
-  }
-  return bundle.trySaveFile(path);
-}
-
 StatusOr<PartitionedPipeline> PartitionedPipeline::tryLoadBundle(
     const io::Bundle& bundle) {
   StatusOr<std::shared_ptr<extract::FeatureExtractor>> extractor =
@@ -273,9 +263,9 @@ StatusOr<PartitionedPipeline> PartitionedPipeline::tryLoadBundle(
     return s;
   }
   if (manifest.find(kKeySeed) != nullptr) {
-    StatusOr<long> seed = manifest.getInt(kKeySeed);
+    StatusOr<std::uint64_t> seed = manifest.getUint64(kKeySeed);
     if (!seed.ok()) return seed.status();
-    config.seed = static_cast<std::uint64_t>(seed.value());
+    config.seed = seed.value();
   }
 
   if (config.inputSize != extractor.value()->featureDim()) {
@@ -302,23 +292,6 @@ StatusOr<PartitionedPipeline> PartitionedPipeline::tryLoadBundle(
   } catch (const std::exception& e) {
     return Status::Internal(std::string("tryLoadBundle: ") + e.what());
   }
-}
-
-StatusOr<PartitionedPipeline> PartitionedPipeline::tryLoadBundleFile(
-    const std::string& path) {
-  StatusOr<io::Bundle> bundle = io::Bundle::tryLoadFile(path);
-  if (!bundle.ok()) return bundle.status();
-  return tryLoadBundle(bundle.value());
-}
-
-parrot::ParrotHog trainParrotStage(const parrot::ParrotConfig& config,
-                                   const parrot::GeneratorParams& genParams,
-                                   int numSamples, int epochs,
-                                   float learningRate) {
-  parrot::ParrotHog hog(config);
-  const parrot::OrientedSampleGenerator generator(genParams);
-  hog.train(generator, numSamples, epochs, learningRate);
-  return hog;
 }
 
 std::vector<float> rawPixelFeatures(const vision::Image& window) {

@@ -9,7 +9,6 @@
 #include "extract/extractor.hpp"
 #include "extract/registry.hpp"
 #include "io/bundle.hpp"
-#include "parrot/parrot.hpp"
 #include "vision/image.hpp"
 
 namespace pcnn::core {
@@ -78,9 +77,6 @@ class PartitionedPipeline {
       const std::vector<vision::Image>& windows,
       DegradationReport* report = nullptr) const;
 
-  std::vector<float> features(const vision::Image& window) const {
-    return featureExtractor_->windowFeatures(window);
-  }
   eedn::EednClassifier& classifier() { return *classifier_; }
 
   const std::shared_ptr<extract::FeatureExtractor>& extractor() const {
@@ -97,10 +93,6 @@ class PartitionedPipeline {
   Status packBundle(io::Bundle& bundle,
                     const extract::ExtractorOptions& extractorOptions);
 
-  /// packBundle + Bundle::trySaveFile.
-  Status trySaveBundle(const std::string& path,
-                       const extract::ExtractorOptions& extractorOptions);
-
   /// Reconstructs a trained pipeline from a bundle without re-running
   /// stage A (extractor pretraining) or stage B (classifier training):
   /// the extractor is rebuilt from the manifest spec + state chunk, the
@@ -108,8 +100,6 @@ class PartitionedPipeline {
   /// whose classifier input size disagrees with the extractor's feature
   /// dimension is kFailedPrecondition.
   static StatusOr<PartitionedPipeline> tryLoadBundle(const io::Bundle& bundle);
-  static StatusOr<PartitionedPipeline> tryLoadBundleFile(
-      const std::string& path);
 
  private:
   std::vector<std::vector<float>> extractAll(
@@ -118,14 +108,6 @@ class PartitionedPipeline {
   std::shared_ptr<extract::FeatureExtractor> featureExtractor_;
   std::unique_ptr<eedn::EednClassifier> classifier_;
 };
-
-/// Builds and trains the Parrot feature extractor stage: stage A of the
-/// co-training procedure (the classifier stage is stage B, trained on the
-/// parrot's outputs by PartitionedPipeline::trainClassifier).
-parrot::ParrotHog trainParrotStage(const parrot::ParrotConfig& config,
-                                   const parrot::GeneratorParams& genParams,
-                                   int numSamples, int epochs,
-                                   float learningRate);
 
 /// The Absorbed baseline: a monolithic pixels-to-decision Eedn classifier
 /// given (at least) the combined resource budget of extractor + classifier

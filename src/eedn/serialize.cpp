@@ -1,7 +1,6 @@
 #include "eedn/serialize.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -166,23 +165,6 @@ Status trySaveNetwork(const nn::Sequential& net, std::ostream& out) {
     }
   }
   return w.status();
-}
-
-Status trySaveNetworkFile(const nn::Sequential& net,
-                          const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::Unavailable("saveNetworkFile: cannot open " + path);
-  }
-  return trySaveNetwork(net, out);
-}
-
-Status tryLoadNetworkFile(nn::Sequential& net, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Unavailable("loadNetworkFile: cannot open " + path);
-  }
-  return tryLoadNetwork(net, in);
 }
 
 }  // namespace pcnn::eedn

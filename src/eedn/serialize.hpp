@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "common/status.hpp"
 #include "nn/sequential.hpp"
@@ -23,7 +22,6 @@ namespace pcnn::eedn {
 /// Status-returning save: kInvalidArgument for an unsupported layer type,
 /// kDataLoss on write failure.
 Status trySaveNetwork(const nn::Sequential& net, std::ostream& out);
-Status trySaveNetworkFile(const nn::Sequential& net, const std::string& path);
 
 /// Bounds-checked load into a pre-built network: every layer tag, shape
 /// and group count is validated against the target structure, truncation
@@ -33,6 +31,5 @@ Status trySaveNetworkFile(const nn::Sequential& net, const std::string& path);
 /// before the error keep the loaded values) -- reload or rebuild before
 /// using it.
 Status tryLoadNetwork(nn::Sequential& net, std::istream& in);
-Status tryLoadNetworkFile(nn::Sequential& net, const std::string& path);
 
 }  // namespace pcnn::eedn

@@ -66,16 +66,4 @@ double stddev(const std::vector<double>& values) {
   return std::sqrt(acc / static_cast<double>(values.size() - 1));
 }
 
-double rmse(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("rmse: length mismatch");
-  }
-  if (a.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += (a[i] - b[i]) * (a[i] - b[i]);
-  }
-  return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
 }  // namespace pcnn::eval

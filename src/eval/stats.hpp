@@ -25,7 +25,4 @@ double mean(const std::vector<double>& values);
 /// Sample standard deviation (0 for fewer than two values).
 double stddev(const std::vector<double>& values);
 
-/// Root-mean-square error between two equal-length sequences.
-double rmse(const std::vector<double>& a, const std::vector<double>& b);
-
 }  // namespace pcnn::eval

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -436,14 +435,6 @@ Status FeatureExtractor::trySaveState(std::ostream& out) {
   return w.status();
 }
 
-Status FeatureExtractor::trySaveStateFile(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::Unavailable("saveStateFile: cannot open " + path);
-  }
-  return trySaveState(out);
-}
-
 Status FeatureExtractor::tryLoadState(std::istream& in) {
   io::Reader r(in);
   if (!r.header(kStateMagic, kStateVersion).ok()) return r.status();
@@ -489,14 +480,6 @@ Status FeatureExtractor::tryLoadState(std::istream& in) {
     body.push_back(std::move(chunk));
   }
   return loadStateBody(body);
-}
-
-Status FeatureExtractor::tryLoadStateFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Unavailable("loadStateFile: cannot open " + path);
-  }
-  return tryLoadState(in);
 }
 
 Status FeatureExtractor::saveStateBody(io::Writer&) { return Status::Ok(); }

@@ -217,7 +217,6 @@ class FeatureExtractor {
   /// needed to reconstruct the extractor without re-running stage-A
   /// pretraining.
   Status trySaveState(std::ostream& out);
-  Status trySaveStateFile(const std::string& path);
 
   /// Restores state saved by trySaveState into this extractor. The META
   /// chunk must match this instance's name and geometry exactly
@@ -225,7 +224,6 @@ class FeatureExtractor {
   /// built from the same spec + options, never coerced across specs.
   /// Unknown chunks are skipped (forward compat).
   Status tryLoadState(std::istream& in);
-  Status tryLoadStateFile(const std::string& path);
 
   /// Table-2 power row for this extractor under the given workload, or
   /// nullopt when the extractor has no hardware deployment (pure software

@@ -1,5 +1,6 @@
 #include "extract/registry.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -10,7 +11,12 @@ namespace pcnn::extract {
 
 namespace {
 
+constexpr int kMaxSpikes = 64;
+
 /// Parses "<N>spike" -> N; returns -1 when the variant has another shape.
+/// A count above kMaxSpikes reads as kMaxSpikes + 1 however many digits it
+/// has, so a long digit string is rejected by checkSpikeCount rather than
+/// wrapping around into an accepted count.
 int parseSpikes(const std::string& variant) {
   const std::string suffix = "spike";
   if (variant.size() <= suffix.size() ||
@@ -22,7 +28,7 @@ int parseSpikes(const std::string& variant) {
   int value = 0;
   for (char c : digits) {
     if (c < '0' || c > '9') return -1;
-    value = value * 10 + (c - '0');
+    value = std::min(value * 10 + (c - '0'), kMaxSpikes + 1);
   }
   return digits.empty() ? -1 : value;
 }
@@ -46,11 +52,10 @@ const char* specGrammar() {
 /// point.
 void checkSpikeCount(const std::string& spec, int spikes) {
   const bool powerOfTwo = spikes > 0 && (spikes & (spikes - 1)) == 0;
-  if (!powerOfTwo || spikes > 64) {
+  if (!powerOfTwo || spikes > kMaxSpikes) {
     throw std::invalid_argument(
-        "ExtractorRegistry: spike count " + std::to_string(spikes) +
-        " in \"" + spec + "\" must be a power of two in 1..64; " +
-        specGrammar());
+        "ExtractorRegistry: spike count in \"" + spec +
+        "\" must be a power of two in 1..64; " + specGrammar());
   }
 }
 
@@ -61,28 +66,31 @@ ExtractorRegistry& ExtractorRegistry::instance() {
   return registry;
 }
 
-ExtractorRegistry::ExtractorRegistry() {
-  add("hog", [](const std::string& spec, const std::string& variant,
-                const ExtractorOptions& options)
-          -> std::shared_ptr<FeatureExtractor> {
+std::vector<std::string> ExtractorRegistry::names() const {
+  return {"fixedpoint", "hog", "napprox", "parrot"};
+}
+
+std::shared_ptr<FeatureExtractor> ExtractorRegistry::create(
+    const std::string& spec, const ExtractorOptions& options) const {
+  const std::size_t colon = spec.find(':');
+  const std::string base = spec.substr(0, colon);
+  const std::string variant =
+      colon == std::string::npos ? "" : spec.substr(colon + 1);
+  if (base == "hog") {
     if (!variant.empty()) badVariant(spec);
     return std::make_shared<HogBackend>(spec, options.layout,
                                         hog::HogParams{},
                                         options.windowCellsX,
                                         options.windowCellsY);
-  });
-  add("fixedpoint", [](const std::string& spec, const std::string& variant,
-                       const ExtractorOptions& options)
-          -> std::shared_ptr<FeatureExtractor> {
+  }
+  if (base == "fixedpoint") {
     if (!variant.empty()) badVariant(spec);
     return std::make_shared<FixedPointBackend>(spec, options.layout,
                                                hog::FixedPointHogParams{},
                                                options.windowCellsX,
                                                options.windowCellsY);
-  });
-  add("napprox", [](const std::string& spec, const std::string& variant,
-                    const ExtractorOptions& options)
-          -> std::shared_ptr<FeatureExtractor> {
+  }
+  if (base == "napprox") {
     if (variant.empty() || variant == "fp") {
       return std::make_shared<NApproxBackend>(spec, options.layout,
                                               napprox::NApproxParams{},
@@ -97,10 +105,8 @@ ExtractorRegistry::ExtractorRegistry() {
     return std::make_shared<QuantizedNApproxBackend>(
         spec, options.layout, napprox::NApproxParams{}, quant,
         options.windowCellsX, options.windowCellsY);
-  });
-  add("parrot", [](const std::string& spec, const std::string& variant,
-                   const ExtractorOptions& options)
-          -> std::shared_ptr<FeatureExtractor> {
+  }
+  if (base == "parrot") {
     parrot::ParrotConfig config;
     config.seed = options.seed;
     if (variant.empty() || variant == "exact") {
@@ -114,42 +120,15 @@ ExtractorRegistry::ExtractorRegistry() {
     return std::make_shared<ParrotBackend>(spec, options.layout, config,
                                            options.windowCellsX,
                                            options.windowCellsY);
-  });
-}
-
-void ExtractorRegistry::add(const std::string& base, Factory factory) {
-  factories_[base] = std::move(factory);
-}
-
-bool ExtractorRegistry::contains(const std::string& base) const {
-  return factories_.count(base) > 0;
-}
-
-std::vector<std::string> ExtractorRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [base, factory] : factories_) out.push_back(base);
-  return out;
-}
-
-std::shared_ptr<FeatureExtractor> ExtractorRegistry::create(
-    const std::string& spec, const ExtractorOptions& options) const {
-  const std::size_t colon = spec.find(':');
-  const std::string base = spec.substr(0, colon);
-  const std::string variant =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  const auto it = factories_.find(base);
-  if (it == factories_.end()) {
-    std::string registered;
-    for (const auto& [name, factory] : factories_) {
-      if (!registered.empty()) registered += ", ";
-      registered += name;
-    }
-    throw std::invalid_argument("ExtractorRegistry: unknown extractor \"" +
-                                base + "\" (registered: " + registered +
-                                "); " + specGrammar());
   }
-  return it->second(spec, variant, options);
+  std::string known;
+  for (const std::string& name : names()) {
+    if (!known.empty()) known += ", ";
+    known += name;
+  }
+  throw std::invalid_argument("ExtractorRegistry: unknown extractor \"" +
+                              base + "\" (registered: " + known + "); " +
+                              specGrammar());
 }
 
 StatusOr<std::shared_ptr<FeatureExtractor>> ExtractorRegistry::tryCreate(
@@ -190,26 +169,19 @@ StatusOr<ExtractorOptions> extractorOptionsFromManifest(
   // Cell counts and seed default to ExtractorOptions{} when absent -- a
   // minimal manifest with only a spec still reconstructs.
   if (manifest.find(io::keys::kWindowCellsX) != nullptr) {
-    StatusOr<long> cells = manifest.getInt(io::keys::kWindowCellsX);
+    StatusOr<int> cells = manifest.getInt(io::keys::kWindowCellsX, 1, 4096);
     if (!cells.ok()) return cells.status();
-    options.windowCellsX = static_cast<int>(cells.value());
+    options.windowCellsX = cells.value();
   }
   if (manifest.find(io::keys::kWindowCellsY) != nullptr) {
-    StatusOr<long> cells = manifest.getInt(io::keys::kWindowCellsY);
+    StatusOr<int> cells = manifest.getInt(io::keys::kWindowCellsY, 1, 4096);
     if (!cells.ok()) return cells.status();
-    options.windowCellsY = static_cast<int>(cells.value());
-  }
-  if (options.windowCellsX < 1 || options.windowCellsX > 4096 ||
-      options.windowCellsY < 1 || options.windowCellsY > 4096) {
-    return Status::OutOfRange(
-        "bundle manifest: window cell counts " +
-        std::to_string(options.windowCellsX) + "x" +
-        std::to_string(options.windowCellsY) + " outside 1..4096");
+    options.windowCellsY = cells.value();
   }
   if (manifest.find(io::keys::kSeed) != nullptr) {
-    StatusOr<long> seed = manifest.getInt(io::keys::kSeed);
+    StatusOr<std::uint64_t> seed = manifest.getUint64(io::keys::kSeed);
     if (!seed.ok()) return seed.status();
-    options.seed = static_cast<std::uint64_t>(seed.value());
+    options.seed = seed.value();
   }
   return options;
 }
@@ -246,24 +218,6 @@ StatusOr<std::shared_ptr<FeatureExtractor>> ExtractorRegistry::tryLoadExtractor(
     }
   }
   return extractor;
-}
-
-Status ExtractorRegistry::trySaveBundle(FeatureExtractor& extractor,
-                                        const ExtractorOptions& options,
-                                        const std::string& path) const {
-  io::Bundle bundle;
-  if (Status status = packExtractor(bundle, extractor, options);
-      !status.ok()) {
-    return status;
-  }
-  return bundle.trySaveFile(path);
-}
-
-StatusOr<std::shared_ptr<FeatureExtractor>> ExtractorRegistry::tryLoadBundle(
-    const std::string& path) const {
-  StatusOr<io::Bundle> bundle = io::Bundle::tryLoadFile(path);
-  if (!bundle.ok()) return bundle.status();
-  return tryLoadExtractor(bundle.value());
 }
 
 std::shared_ptr<FeatureExtractor> makeExtractor(const std::string& spec,

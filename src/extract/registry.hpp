@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +11,7 @@
 
 namespace pcnn::extract {
 
-/// Construction-time options shared by every backend factory. The spec
+/// Construction-time options shared by every backend. The spec
 /// string picks the backend and its precision variant; these pick the
 /// downstream-facing geometry and layout.
 struct ExtractorOptions {
@@ -23,15 +21,14 @@ struct ExtractorOptions {
   std::uint64_t seed = 21;  ///< RNG seed for trained/stochastic backends
 };
 
-/// Name -> factory registry for feature-extraction backends.
+/// Spec-string entry point for the feature-extraction backends.
 ///
 /// A spec string is `base` or `base:variant` -- e.g. "hog", "fixedpoint",
 /// "napprox", "napprox:64spike", "parrot:4spike". Pipelines, detectors and
 /// benches construct extractors from these strings instead of hand-wiring
-/// per-backend lambdas, so adding a backend means registering one factory
-/// and every harness picks it up.
+/// per-backend lambdas.
 ///
-/// Built-in backends (registered on first use):
+/// Backends:
 ///   hog         classic float HoG, 9 unsigned bins, weighted voting
 ///   fixedpoint  FPGA-style integer HoG (the paper's baseline)
 ///   napprox     NApprox HoG; variants: "fp" (default, float) or
@@ -41,18 +38,9 @@ struct ExtractorOptions {
 ///               Construct then pretrain() -- stage A of the co-training.
 class ExtractorRegistry {
  public:
-  using Factory = std::function<std::shared_ptr<FeatureExtractor>(
-      const std::string& spec, const std::string& variant,
-      const ExtractorOptions& options)>;
-
   static ExtractorRegistry& instance();
 
-  /// Registers (or replaces) the factory for a base name.
-  void add(const std::string& base, Factory factory);
-
-  bool contains(const std::string& base) const;
-
-  /// Sorted base names of every registered backend.
+  /// Sorted base names of the four backends.
   std::vector<std::string> names() const;
 
   /// Constructs an extractor from a spec string. Throws
@@ -83,16 +71,8 @@ class ExtractorRegistry {
   StatusOr<std::shared_ptr<FeatureExtractor>> tryLoadExtractor(
       const io::Bundle& bundle) const;
 
-  /// One-call file forms: pack + save, and load + reconstruct.
-  Status trySaveBundle(FeatureExtractor& extractor,
-                       const ExtractorOptions& options,
-                       const std::string& path) const;
-  StatusOr<std::shared_ptr<FeatureExtractor>> tryLoadBundle(
-      const std::string& path) const;
-
  private:
-  ExtractorRegistry();
-  std::map<std::string, Factory> factories_;
+  ExtractorRegistry() = default;
 };
 
 /// Stamps an extractor spec + options into a bundle manifest

@@ -1,5 +1,6 @@
 #include "io/bundle.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -58,18 +59,43 @@ std::string Manifest::get(const std::string& key,
   return value != nullptr ? *value : fallback;
 }
 
-StatusOr<long> Manifest::getInt(const std::string& key) const {
+StatusOr<int> Manifest::getInt(const std::string& key, int lo,
+                               int hi) const {
   const std::string* value = find(key);
   if (value == nullptr) {
     return Status::DataLoss("Bundle: manifest missing \"" + key + "\"");
   }
   char* end = nullptr;
-  const long parsed = std::strtol(value->c_str(), &end, 10);
+  errno = 0;
+  const long long parsed = std::strtoll(value->c_str(), &end, 10);
   if (end == value->c_str() || *end != '\0') {
     return Status::OutOfRange("Bundle: manifest \"" + key + "\" = \"" +
                               *value + "\" is not an integer");
   }
-  return parsed;
+  if (errno == ERANGE || parsed < lo || parsed > hi) {
+    return Status::OutOfRange("Bundle: manifest \"" + key + "\" = \"" +
+                              *value + "\" outside " + std::to_string(lo) +
+                              ".." + std::to_string(hi));
+  }
+  return static_cast<int>(parsed);
+}
+
+StatusOr<std::uint64_t> Manifest::getUint64(const std::string& key) const {
+  const std::string* value = find(key);
+  if (value == nullptr) {
+    return Status::DataLoss("Bundle: manifest missing \"" + key + "\"");
+  }
+  // strtoull would accept a sign and wrap "-1" to 2^64-1.
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed =
+      std::strtoull(value->c_str(), &end, 10);
+  if (value->empty() || (*value)[0] < '0' || (*value)[0] > '9' ||
+      *end != '\0' || errno == ERANGE) {
+    return Status::OutOfRange("Bundle: manifest \"" + key + "\" = \"" +
+                              *value + "\" is not an unsigned 64-bit integer");
+  }
+  return static_cast<std::uint64_t>(parsed);
 }
 
 StatusOr<double> Manifest::getFloat(const std::string& key) const {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,7 +48,14 @@ class Manifest {
   std::string get(const std::string& key,
                   const std::string& fallback = "") const;
   /// Typed accessors; kDataLoss when absent, kOutOfRange when unparsable.
-  StatusOr<long> getInt(const std::string& key) const;
+  /// getInt also rejects a value outside lo..hi as kOutOfRange, checked on
+  /// the full decimal value before it is narrowed to int, so "4294967304"
+  /// can never read back as 8. getUint64 takes plain decimal digits only
+  /// (no sign) up to 2^64-1, the range of a stored RNG seed.
+  StatusOr<int> getInt(const std::string& key,
+                       int lo = std::numeric_limits<int>::min(),
+                       int hi = std::numeric_limits<int>::max()) const;
+  StatusOr<std::uint64_t> getUint64(const std::string& key) const;
   StatusOr<double> getFloat(const std::string& key) const;
 
   const std::map<std::string, std::string>& fields() const { return fields_; }

@@ -45,18 +45,4 @@ LossResult softmaxCrossEntropy(const std::vector<float>& scores, int target) {
   return result;
 }
 
-LossResult hingeLoss(float score, int label) {
-  if (label != 1 && label != -1) {
-    throw std::invalid_argument("hingeLoss: label must be +1 or -1");
-  }
-  LossResult result;
-  result.grad.assign(1, 0.0f);
-  const float margin = 1.0f - static_cast<float>(label) * score;
-  if (margin > 0.0f) {
-    result.value = margin;
-    result.grad[0] = -static_cast<float>(label);
-  }
-  return result;
-}
-
 }  // namespace pcnn::nn

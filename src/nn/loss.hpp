@@ -18,10 +18,6 @@ LossResult mseLoss(const std::vector<float>& predicted,
 /// Softmax cross-entropy over class scores; `target` is the class index.
 LossResult softmaxCrossEntropy(const std::vector<float>& scores, int target);
 
-/// Two-class hinge loss on a single score: max(0, 1 - label*score) with
-/// label in {-1, +1}. Used by the Eedn pedestrian classifier head.
-LossResult hingeLoss(float score, int label);
-
 /// Softmax probabilities (numerically stable), exposed for tests.
 std::vector<float> softmax(const std::vector<float>& scores);
 

@@ -72,63 +72,4 @@ std::vector<float> AvgPool2d::backward(const std::vector<float>& gradOutput) {
   return gradIn;
 }
 
-MaxPool2d::MaxPool2d(int channels, int inHeight, int inWidth, int pool)
-    : channels_(channels),
-      inH_(inHeight),
-      inW_(inWidth),
-      pool_(pool),
-      outH_(inHeight / pool),
-      outW_(inWidth / pool) {
-  if (channels <= 0 || pool <= 0 || inHeight % pool != 0 ||
-      inWidth % pool != 0) {
-    throw std::invalid_argument(
-        "MaxPool2d: dimensions must divide evenly by the pool size");
-  }
-}
-
-std::vector<float> MaxPool2d::forward(const std::vector<float>& input,
-                                      bool train) {
-  if (static_cast<int>(input.size()) != inputSize()) {
-    throw std::invalid_argument("MaxPool2d::forward: size mismatch");
-  }
-  std::vector<float> out(static_cast<std::size_t>(outputSize()));
-  if (train) argmaxCache_.assign(static_cast<std::size_t>(outputSize()), 0);
-  for (int c = 0; c < channels_; ++c) {
-    for (int oy = 0; oy < outH_; ++oy) {
-      for (int ox = 0; ox < outW_; ++ox) {
-        float best = -1e30f;
-        int bestIdx = 0;
-        for (int py = 0; py < pool_; ++py) {
-          for (int px = 0; px < pool_; ++px) {
-            const int idx = static_cast<int>(
-                (static_cast<std::size_t>(c) * inH_ + oy * pool_ + py) *
-                    inW_ +
-                ox * pool_ + px);
-            if (input[idx] > best) {
-              best = input[idx];
-              bestIdx = idx;
-            }
-          }
-        }
-        const std::size_t outIdx =
-            (static_cast<std::size_t>(c) * outH_ + oy) * outW_ + ox;
-        out[outIdx] = best;
-        if (train) argmaxCache_[outIdx] = bestIdx;
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<float> MaxPool2d::backward(const std::vector<float>& gradOutput) {
-  if (static_cast<int>(gradOutput.size()) != outputSize()) {
-    throw std::invalid_argument("MaxPool2d::backward: size mismatch");
-  }
-  std::vector<float> gradIn(static_cast<std::size_t>(inputSize()), 0.0f);
-  for (std::size_t i = 0; i < gradOutput.size(); ++i) {
-    gradIn[static_cast<std::size_t>(argmaxCache_[i])] += gradOutput[i];
-  }
-  return gradIn;
-}
-
 }  // namespace pcnn::nn

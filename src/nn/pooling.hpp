@@ -25,24 +25,4 @@ class AvgPool2d : public Layer {
   int channels_, inH_, inW_, pool_, outH_, outW_;
 };
 
-/// Non-overlapping max pooling over CHW input (the conventional CNN
-/// choice, provided for ablations against AvgPool2d).
-class MaxPool2d : public Layer {
- public:
-  MaxPool2d(int channels, int inHeight, int inWidth, int pool);
-
-  std::vector<float> forward(const std::vector<float>& input,
-                             bool train) override;
-  std::vector<float> backward(const std::vector<float>& gradOutput) override;
-
-  int inputSize() const override { return channels_ * inH_ * inW_; }
-  int outputSize() const override { return channels_ * outH_ * outW_; }
-  int outHeight() const { return outH_; }
-  int outWidth() const { return outW_; }
-
- private:
-  int channels_, inH_, inW_, pool_, outH_, outW_;
-  std::vector<int> argmaxCache_;
-};
-
 }  // namespace pcnn::nn

@@ -1,6 +1,5 @@
 #include "svm/serialize.hpp"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -75,20 +74,6 @@ Status trySaveModel(const LinearSvm& model, std::ostream& out) {
   w.header(kMagic, kVersion);
   w.chunk("SVMW", payload.str());
   return w.status();
-}
-
-Status trySaveModelFile(const LinearSvm& model, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Unavailable("saveModelFile: cannot open " + path);
-  return trySaveModel(model, out);
-}
-
-StatusOr<LinearSvm> tryLoadModelFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Unavailable("loadModelFile: cannot open " + path);
-  }
-  return tryLoadModel(in);
 }
 
 }  // namespace pcnn::svm

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "common/status.hpp"
 #include "svm/linear_svm.hpp"
@@ -19,12 +18,10 @@ namespace pcnn::svm {
 /// Status-returning save: kFailedPrecondition for an untrained model,
 /// kDataLoss on write failure.
 Status trySaveModel(const LinearSvm& model, std::ostream& out);
-Status trySaveModelFile(const LinearSvm& model, const std::string& path);
 
 /// Bounds-checked load: a corrupt stream, or one without the PSVM magic,
 /// yields kDataLoss, and a header declaring an implausibly large weight
 /// vector yields kOutOfRange before anything is allocated.
 StatusOr<LinearSvm> tryLoadModel(std::istream& in);
-StatusOr<LinearSvm> tryLoadModelFile(const std::string& path);
 
 }  // namespace pcnn::svm

@@ -1,6 +1,5 @@
 #include "tn/model_io.hpp"
 
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -310,23 +309,6 @@ Status trySaveModel(const Network& network, std::ostream& out) {
     w.chunk("CORE", payload.str());
   }
   return w.status();
-}
-
-Status trySaveModelFile(const Network& network, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::Unavailable("saveModelFile: cannot open " + path);
-  }
-  return trySaveModel(network, out);
-}
-
-StatusOr<std::unique_ptr<Network>> tryLoadModelFile(const std::string& path,
-                                                    std::uint64_t seed) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Unavailable("loadModelFile: cannot open " + path);
-  }
-  return tryLoadModel(in, seed);
 }
 
 }  // namespace pcnn::tn

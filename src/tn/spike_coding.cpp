@@ -29,13 +29,4 @@ std::vector<long> rateCodeTicks(float value, int window) {
   return ticks;
 }
 
-std::vector<long> stochasticCodeTicks(float value, int window, Rng& rng) {
-  std::vector<long> ticks;
-  const float v = std::clamp(value, 0.0f, 1.0f);
-  for (int t = 0; t < window; ++t) {
-    if (rng.bernoulli(v)) ticks.push_back(t);
-  }
-  return ticks;
-}
-
 }  // namespace pcnn::tn

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "common/rng.hpp"
-
 namespace pcnn::tn {
 
 /// Rate coding used by the NApprox corelet: a value v in [0, 1] becomes
@@ -14,17 +12,5 @@ std::vector<long> rateCodeTicks(float value, int window);
 
 /// Number of spikes rate coding emits for `value` over `window` ticks.
 int rateCodeCount(float value, int window);
-
-/// Stochastic coding used by the Parrot HoG: at each of `window` ticks a
-/// spike fires with probability v (Bernoulli). "The representation of the
-/// signals can be as simple as 1-spike with the probability proportional to
-/// the value" -- window = 1 gives that 1-spike code.
-std::vector<long> stochasticCodeTicks(float value, int window, Rng& rng);
-
-/// Decodes a spike count over a window back to [0, 1].
-inline float decodeRate(int spikes, int window) {
-  return window > 0 ? static_cast<float>(spikes) / static_cast<float>(window)
-                    : 0.0f;
-}
 
 }  // namespace pcnn::tn

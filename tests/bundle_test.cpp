@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -276,6 +277,63 @@ TEST(Bundle, ManifestTypedAccessors) {
   EXPECT_EQ(manifest.find("absent"), nullptr);
 }
 
+TEST(Bundle, ManifestIntegersAreRangeCheckedBeforeNarrowing) {
+  io::Manifest manifest;
+  manifest.set("wide", "4294967304");  // 2^32 + 8
+  manifest.set("huge", "99999999999999999999999");
+  manifest.set("negative", "-1");
+  manifest.set("seed", "17293822569102704641");  // 0xF000000000000001
+  EXPECT_EQ(manifest.getInt("wide").status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(manifest.getInt("huge").status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(manifest.getInt("negative", 0, 10).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(manifest.getUint64("seed").value(), 0xF000000000000001ull);
+  EXPECT_EQ(manifest.getUint64("negative").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(manifest.getUint64("huge").status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(manifest.getUint64("absent").status().code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(Bundle, ExtractorManifestRejectsWrappedCellCount) {
+  io::Manifest manifest;
+  extract::recordExtractorManifest(manifest, "hog", {});
+  manifest.set(io::keys::kWindowCellsX, "4294967304");  // would wrap to 8
+  EXPECT_EQ(extract::extractorOptionsFromManifest(manifest).status().code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST(Bundle, ExtractorSeedSurvivesTheManifestAt64Bits) {
+  extract::ExtractorOptions options;
+  options.seed = 0xF000000000000001ull;
+  io::Manifest manifest;
+  extract::recordExtractorManifest(manifest, "parrot:4spike", options);
+  StatusOr<extract::ExtractorOptions> loaded =
+      extract::extractorOptionsFromManifest(manifest);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+  EXPECT_EQ(loaded.value().seed, options.seed);
+}
+
+TEST(Bundle, UnopenablePathIsUnavailable) {
+  const std::string path = "/nonexistent-pcnn-dir/bundle.pcnb";
+  io::Bundle bundle;
+  EXPECT_EQ(bundle.trySaveFile(path).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(io::Bundle::tryLoadFile(path).status().code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(io::Bundle::tryLoadManifestFile(path).status().code(),
+            StatusCode::kUnavailable);
+}
+
+TEST(Bundle, WriteThatFailsOnFlushIsDataLoss) {
+  // /dev/full opens but fails every write; the bytes sit in the stream
+  // buffer until the flush, so only a flushing save can see the loss.
+  if (!std::ofstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  io::Bundle bundle;
+  bundle.setChunk("payload", "bytes");
+  EXPECT_EQ(bundle.trySaveFile("/dev/full").code(), StatusCode::kDataLoss);
+}
+
 // --- Only the v2 binary formats load --------------------------------------
 
 // The retired v1 whitespace-text formats fail the binary header like any
@@ -478,13 +536,19 @@ void expectBundleReloadParity(const std::string& spec) {
   pipeline.trainClassifier(trainWindows, alternatingLabels(12), 2, 0.05f);
 
   const std::string path = bundlePathFor(spec);
-  ASSERT_TRUE(pipeline.trySaveBundle(path, options).ok());
+  io::Bundle packed;
+  ASSERT_TRUE(pipeline.packBundle(packed, options).ok());
+  ASSERT_TRUE(packed.trySaveFile(path).ok());
 
-  StatusOr<core::PartitionedPipeline> loadedA =
-      core::PartitionedPipeline::tryLoadBundleFile(path);
+  auto loadFromFile = [&] {
+    StatusOr<io::Bundle> bundle = io::Bundle::tryLoadFile(path);
+    EXPECT_TRUE(bundle.ok()) << bundle.status().toString();
+    return bundle.ok() ? core::PartitionedPipeline::tryLoadBundle(bundle.value())
+                       : StatusOr<core::PartitionedPipeline>(bundle.status());
+  };
+  StatusOr<core::PartitionedPipeline> loadedA = loadFromFile();
   ASSERT_TRUE(loadedA.ok()) << loadedA.status().toString();
-  StatusOr<core::PartitionedPipeline> loadedB =
-      core::PartitionedPipeline::tryLoadBundleFile(path);
+  StatusOr<core::PartitionedPipeline> loadedB = loadFromFile();
   ASSERT_TRUE(loadedB.ok()) << loadedB.status().toString();
 
   const auto evalWindows = makeTinyWindows(8, 99);
@@ -564,6 +628,34 @@ TEST(PipelineBundle, ClassifierInputSizeMismatchIsFailedPrecondition) {
       core::PartitionedPipeline::tryLoadBundle(bundle);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(PipelineBundle, WrappedClassifierFieldsAreOutOfRange) {
+  const extract::ExtractorOptions options = tinyOptions();
+  auto extractor = extract::ExtractorRegistry::instance().create("hog", options);
+  eedn::EednClassifierConfig config;
+  config.inputSize = extractor->featureDim();
+  config.groupInputSize = extractor->featureDim() / 2;
+  config.hiddenWidths = {16};
+  config.outputPopulation = 2;
+  config.seed = 0xF000000000000001ull;
+  core::PartitionedPipeline pipeline(extractor, config);
+  io::Bundle bundle;
+  ASSERT_TRUE(pipeline.packBundle(bundle, options).ok());
+
+  StatusOr<core::PartitionedPipeline> reloaded =
+      core::PartitionedPipeline::tryLoadBundle(bundle);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().toString();
+  EXPECT_EQ(reloaded.value().classifier().config().seed, config.seed);
+
+  // 2^32 + inputSize: narrowed to int it would equal the true size.
+  bundle.manifest().set(
+      "classifier_input_size",
+      std::to_string((1ll << 32) + extractor->featureDim()));
+  StatusOr<core::PartitionedPipeline> wrapped =
+      core::PartitionedPipeline::tryLoadBundle(bundle);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "eval/detection_eval.hpp"
-#include "eval/pr_curve.hpp"
 #include "eval/stats.hpp"
 
 namespace pcnn::eval {
@@ -132,45 +131,6 @@ TEST(Stats, MeanAndStddev) {
   EXPECT_NEAR(mean(values), 5.0, 1e-12);
   EXPECT_NEAR(stddev(values), std::sqrt(32.0 / 7.0), 1e-9);
   EXPECT_EQ(stddev({1.0}), 0.0);
-}
-
-TEST(PrCurve, PerfectDetectorHasUnitAp) {
-  std::vector<ImageResult> results = {
-      makeImage({{{0, 0, 64, 128}, 2.0f}}, {{0, 0, 64, 128}}),
-      makeImage({{{10, 10, 64, 128}, 1.5f}}, {{10, 10, 64, 128}})};
-  const auto curve = precisionRecallCurve(results);
-  ASSERT_FALSE(curve.empty());
-  EXPECT_NEAR(averagePrecision(curve), 1.0f, 1e-5f);
-}
-
-TEST(PrCurve, SpuriousDetectionsLowerAp) {
-  std::vector<ImageResult> clean = {
-      makeImage({{{0, 0, 64, 128}, 2.0f}}, {{0, 0, 64, 128}})};
-  std::vector<ImageResult> noisy = {
-      makeImage({{{0, 0, 64, 128}, 1.0f}, {{300, 300, 64, 128}, 2.0f}},
-                {{0, 0, 64, 128}})};
-  EXPECT_GT(averagePrecision(precisionRecallCurve(clean)),
-            averagePrecision(precisionRecallCurve(noisy)));
-}
-
-TEST(PrCurve, RecallNonDecreasingWithThreshold) {
-  std::vector<ImageResult> results = {
-      makeImage({{{0, 0, 64, 128}, 0.9f}, {{300, 0, 64, 128}, 0.4f}},
-                {{0, 0, 64, 128}, {300, 2, 64, 128}})};
-  const auto curve = precisionRecallCurve(results);
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    EXPECT_GE(curve[i].recall, curve[i - 1].recall - 1e-6f);
-  }
-}
-
-TEST(PrCurve, EmptyInputs) {
-  EXPECT_TRUE(precisionRecallCurve({}).empty());
-  EXPECT_FLOAT_EQ(averagePrecision({}), 0.0f);
-}
-
-TEST(Stats, Rmse) {
-  EXPECT_NEAR(rmse({1, 2, 3}, {1, 2, 3}), 0.0, 1e-12);
-  EXPECT_NEAR(rmse({0, 0}, {3, 4}), std::sqrt(12.5), 1e-9);
 }
 
 }  // namespace

@@ -314,14 +314,33 @@ TEST(ExtractorRegistry, KnowsExactlyTheFourBackends) {
   const auto names = ExtractorRegistry::instance().names();
   EXPECT_EQ(names, (std::vector<std::string>{"fixedpoint", "hog", "napprox",
                                              "parrot"}));
-  EXPECT_TRUE(ExtractorRegistry::instance().contains("parrot"));
-  EXPECT_FALSE(ExtractorRegistry::instance().contains("resnet"));
 }
 
 TEST(ExtractorRegistry, RejectsUnknownSpecs) {
   EXPECT_THROW(makeExtractor("resnet"), std::invalid_argument);
   EXPECT_THROW(makeExtractor("hog:weird"), std::invalid_argument);
   EXPECT_THROW(makeExtractor("parrot:spike"), std::invalid_argument);
+}
+
+TEST(ExtractorRegistry, OverlongSpikeCountsAreRejectedNotWrapped) {
+  auto& registry = ExtractorRegistry::instance();
+  // 4294967328 = 2^32 + 32 and 4294967360 = 2^32 + 64: wrapped into an
+  // int they would read as valid 32- and 64-spike deployments.
+  for (const std::string spec :
+       {"parrot:4294967328spike", "napprox:4294967360spike",
+        "parrot:99999999999spike", "napprox:000000000000000000128spike"}) {
+    SCOPED_TRACE(spec);
+    const auto made = registry.tryCreate(spec);
+    ASSERT_FALSE(made.ok());
+    EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
+    // The message quotes the spec as given, never a wrapped count.
+    EXPECT_NE(made.status().message().find(spec), std::string::npos);
+    EXPECT_EQ(made.status().message().find("1215752191"), std::string::npos);
+  }
+  // Leading zeros are still just digits.
+  const auto padded = registry.tryCreate("parrot:0032spike");
+  ASSERT_TRUE(padded.ok()) << padded.status().toString();
+  EXPECT_EQ(padded.value()->info().spikeWindow, 32);
 }
 
 TEST(ExtractorPower, Table2RowsComeFromRegistryMetadata) {

@@ -4,9 +4,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
-#include "nn/activations.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/dense.hpp"
+#include "eedn/trinary.hpp"
 #include "nn/loss.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
@@ -14,106 +12,17 @@
 namespace pcnn::nn {
 namespace {
 
-TEST(Dense, ForwardComputesAffineMap) {
-  pcnn::Rng rng(1);
-  Dense layer(2, 2, rng);
-  layer.weights() = {1.0f, 2.0f, 3.0f, 4.0f};  // rows: [1 2], [3 4]
-  layer.biases() = {0.5f, -0.5f};
-  const auto out = layer.forward({1.0f, 1.0f}, false);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_FLOAT_EQ(out[0], 3.5f);
-  EXPECT_FLOAT_EQ(out[1], 6.5f);
-}
-
-TEST(Dense, BackwardGradientMatchesFiniteDifference) {
-  pcnn::Rng rng(2);
-  Dense layer(3, 2, rng);
-  const std::vector<float> x = {0.3f, -0.7f, 1.2f};
-  const std::vector<float> g = {1.0f, -2.0f};
-
-  auto out = layer.forward(x, true);
-  const auto gradIn = layer.backward(g);
-
-  // Finite difference on input 1.
-  const float eps = 1e-3f;
-  std::vector<float> xp = x;
-  xp[1] += eps;
-  const auto outP = layer.forward(xp, false);
-  float lossBase = 0, lossP = 0;
-  for (int j = 0; j < 2; ++j) {
-    lossBase += g[j] * out[j];
-    lossP += g[j] * outP[j];
-  }
-  EXPECT_NEAR(gradIn[1], (lossP - lossBase) / eps, 1e-2f);
-}
-
-TEST(Dense, SizeMismatchThrows) {
-  pcnn::Rng rng(3);
-  Dense layer(3, 2, rng);
-  EXPECT_THROW(layer.forward({1.0f}, false), std::invalid_argument);
-  layer.forward({1, 2, 3}, true);
-  EXPECT_THROW(layer.backward({1.0f}), std::invalid_argument);
-}
-
-TEST(Dense, LearnsLinearTarget) {
-  // y = 2*x0 - x1; check SGD reduces MSE by 10x.
-  pcnn::Rng rng(4);
-  Dense layer(2, 1, rng);
-  auto lossAt = [&](bool train) {
-    double total = 0;
-    pcnn::Rng dataRng(99);
-    for (int i = 0; i < 64; ++i) {
-      const float x0 = static_cast<float>(dataRng.uniform(-1, 1));
-      const float x1 = static_cast<float>(dataRng.uniform(-1, 1));
-      const float target = 2.0f * x0 - x1;
-      const auto out = layer.forward({x0, x1}, train);
-      const auto loss = mseLoss(out, {target});
-      total += loss.value;
-      if (train) {
-        layer.backward(loss.grad);
-        layer.applyGradients(0.1f, 0.0f, 1);
-      }
-    }
-    return total / 64.0;
-  };
-  const double before = lossAt(false);
-  for (int epoch = 0; epoch < 50; ++epoch) lossAt(true);
-  EXPECT_LT(lossAt(false), before / 10.0);
-}
-
-TEST(Relu, ForwardAndBackward) {
-  Relu relu(3);
-  const auto out = relu.forward({-1.0f, 0.0f, 2.0f}, true);
-  EXPECT_FLOAT_EQ(out[0], 0.0f);
-  EXPECT_FLOAT_EQ(out[1], 0.0f);
-  EXPECT_FLOAT_EQ(out[2], 2.0f);
-  const auto grad = relu.backward({1.0f, 1.0f, 1.0f});
-  EXPECT_FLOAT_EQ(grad[0], 0.0f);
-  EXPECT_FLOAT_EQ(grad[2], 1.0f);
-}
-
-TEST(Sigmoid, SaturatesAndCentres) {
-  Sigmoid sigmoid(3);
-  const auto out = sigmoid.forward({-20.0f, 0.0f, 20.0f}, true);
-  EXPECT_NEAR(out[0], 0.0f, 1e-6f);
-  EXPECT_NEAR(out[1], 0.5f, 1e-6f);
-  EXPECT_NEAR(out[2], 1.0f, 1e-6f);
-  const auto grad = sigmoid.backward({1.0f, 1.0f, 1.0f});
-  EXPECT_NEAR(grad[1], 0.25f, 1e-6f);  // sigma'(0)
-  EXPECT_NEAR(grad[0], 0.0f, 1e-5f);
-}
-
 TEST(Sequential, ComposesAndValidatesSizes) {
   pcnn::Rng rng(5);
   Sequential net;
-  net.add(std::make_unique<Dense>(4, 8, rng));
-  net.add(std::make_unique<Relu>(8));
-  net.add(std::make_unique<Dense>(8, 2, rng));
+  net.add(std::make_unique<eedn::TrinaryDense>(4, 8, rng));
+  net.add(std::make_unique<eedn::SpikingThreshold>(8, 1.0f));
+  net.add(std::make_unique<eedn::TrinaryDense>(8, 2, rng));
   EXPECT_EQ(net.inputSize(), 4);
   EXPECT_EQ(net.outputSize(), 2);
   EXPECT_EQ(net.layerCount(), 3u);
   EXPECT_EQ(net.parameterCount(), 4 * 8 + 8 + 8 * 2 + 2);
-  EXPECT_THROW(net.add(std::make_unique<Dense>(3, 2, rng)),
+  EXPECT_THROW(net.add(std::make_unique<eedn::TrinaryDense>(3, 2, rng)),
                std::invalid_argument);
   const auto out = net.forward({1, 2, 3, 4}, false);
   EXPECT_EQ(out.size(), 2u);
@@ -147,83 +56,6 @@ TEST(Loss, SoftmaxCrossEntropyGradient) {
   EXPECT_THROW(softmaxCrossEntropy({0.0f}, 5), std::invalid_argument);
 }
 
-TEST(Loss, HingeLossMarginBehaviour) {
-  EXPECT_FLOAT_EQ(hingeLoss(2.0f, 1).value, 0.0f);     // past margin
-  EXPECT_FLOAT_EQ(hingeLoss(0.0f, 1).value, 1.0f);     // on boundary
-  EXPECT_FLOAT_EQ(hingeLoss(-1.0f, 1).value, 2.0f);
-  EXPECT_FLOAT_EQ(hingeLoss(-2.0f, -1).value, 0.0f);
-  EXPECT_THROW(hingeLoss(0.0f, 0), std::invalid_argument);
-}
-
-TEST(Conv2d, IdentityKernelPreservesInput) {
-  pcnn::Rng rng(6);
-  Conv2d conv(1, 3, 3, 1, 1, 0, rng);
-  conv.weights() = {1.0f};
-  const std::vector<float> x = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const auto out = conv.forward(x, false);
-  ASSERT_EQ(out.size(), 9u);
-  for (std::size_t i = 0; i < 9; ++i) EXPECT_NEAR(out[i], x[i], 1e-6f);
-}
-
-TEST(Conv2d, OutputGeometry) {
-  pcnn::Rng rng(7);
-  Conv2d conv(2, 8, 10, 4, 3, 1, rng);
-  EXPECT_EQ(conv.outHeight(), 8);
-  EXPECT_EQ(conv.outWidth(), 10);
-  EXPECT_EQ(conv.inputSize(), 2 * 8 * 10);
-  EXPECT_EQ(conv.outputSize(), 4 * 8 * 10);
-  EXPECT_THROW(Conv2d(1, 2, 2, 1, 5, 0, rng), std::invalid_argument);
-}
-
-TEST(Conv2d, GradientMatchesFiniteDifference) {
-  pcnn::Rng rng(8);
-  Conv2d conv(1, 4, 4, 2, 3, 1, rng);
-  std::vector<float> x(16);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1, 1));
-  std::vector<float> g(conv.outputSize());
-  for (auto& v : g) v = static_cast<float>(rng.uniform(-1, 1));
-
-  const auto out = conv.forward(x, true);
-  const auto gradIn = conv.backward(g);
-
-  const float eps = 1e-3f;
-  std::vector<float> xp = x;
-  xp[5] += eps;
-  const auto outP = conv.forward(xp, false);
-  double lossBase = 0, lossP = 0;
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    lossBase += g[i] * out[i];
-    lossP += g[i] * outP[i];
-  }
-  EXPECT_NEAR(gradIn[5], (lossP - lossBase) / eps, 1e-2);
-}
-
-TEST(Conv2d, LearnsEdgeFilter) {
-  // Train a 1-channel 3x3 conv to implement the [-1,0,1] horizontal mask.
-  pcnn::Rng rng(9);
-  Conv2d conv(1, 5, 5, 1, 3, 1, rng);
-  pcnn::Rng dataRng(10);
-  double finalLoss = 1e9;
-  for (int step = 0; step < 2500; ++step) {
-    std::vector<float> x(25);
-    for (auto& v : x) v = static_cast<float>(dataRng.uniform());
-    std::vector<float> target(25, 0.0f);
-    for (int y = 0; y < 5; ++y) {
-      for (int xx = 0; xx < 5; ++xx) {
-        const float right = xx + 1 < 5 ? x[y * 5 + xx + 1] : 0.0f;
-        const float left = xx - 1 >= 0 ? x[y * 5 + xx - 1] : 0.0f;
-        target[y * 5 + xx] = right - left;
-      }
-    }
-    const auto out = conv.forward(x, true);
-    const auto loss = mseLoss(out, target);
-    conv.backward(loss.grad);
-    conv.applyGradients(0.05f, 0.9f, 1);
-    finalLoss = loss.value;
-  }
-  EXPECT_LT(finalLoss, 0.01);
-}
-
 TEST(AvgPool2d, AveragesBlocks) {
   AvgPool2d pool(1, 4, 4, 2);
   std::vector<float> x(16);
@@ -243,24 +75,6 @@ TEST(AvgPool2d, BackwardDistributesEvenly) {
 
 TEST(AvgPool2d, RejectsNonDividingDims) {
   EXPECT_THROW(AvgPool2d(1, 5, 4, 2), std::invalid_argument);
-}
-
-TEST(MaxPool2d, TakesBlockMaxima) {
-  MaxPool2d pool(2, 2, 2, 2);
-  const std::vector<float> x = {1, 7, 3, 2, -1, -9, -3, -2};
-  const auto out = pool.forward(x, true);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_FLOAT_EQ(out[0], 7.0f);
-  EXPECT_FLOAT_EQ(out[1], -1.0f);
-}
-
-TEST(MaxPool2d, BackwardRoutesToArgmax) {
-  MaxPool2d pool(1, 2, 2, 2);
-  pool.forward({1, 9, 3, 4}, true);
-  const auto grad = pool.backward({2.0f});
-  EXPECT_FLOAT_EQ(grad[0], 0.0f);
-  EXPECT_FLOAT_EQ(grad[1], 2.0f);
-  EXPECT_FLOAT_EQ(grad[2], 0.0f);
 }
 
 TEST(Rng, DeterministicAndUniform) {

@@ -19,7 +19,6 @@
 #include "core/detector.hpp"
 #include "extract/registry.hpp"
 #include "hog/hog.hpp"
-#include "nn/conv2d.hpp"
 #include "tn/network.hpp"
 #include "vision/synth.hpp"
 
@@ -157,30 +156,6 @@ TEST(ParallelDeterminism, HogCellsIdenticalAcrossThreadCounts) {
   ASSERT_EQ(oneThread.size(), fourThreads.size());
   for (std::size_t i = 0; i < oneThread.size(); ++i) {
     EXPECT_EQ(oneThread[i], fourThreads[i]) << "cell value differs at " << i;
-  }
-}
-
-TEST(ParallelDeterminism, Conv2dForwardBackwardIdentical) {
-  auto runOnce = [](int threads) {
-    ThreadCountGuard guard(threads);
-    Rng rng(5);
-    nn::Conv2d conv(3, 12, 12, 8, 3, 1, rng);
-    std::vector<float> input(static_cast<std::size_t>(conv.inputSize()));
-    Rng inRng(9);
-    for (auto& v : input) v = static_cast<float>(inRng.uniform()) - 0.5f;
-    auto out = conv.forward(input, /*train=*/true);
-    std::vector<float> gradOut(out.size());
-    Rng gRng(17);
-    for (auto& v : gradOut) v = static_cast<float>(gRng.uniform()) - 0.5f;
-    auto gradIn = conv.backward(gradOut);
-    out.insert(out.end(), gradIn.begin(), gradIn.end());
-    return out;
-  };
-  const auto oneThread = runOnce(1);
-  const auto fourThreads = runOnce(4);
-  ASSERT_EQ(oneThread.size(), fourThreads.size());
-  for (std::size_t i = 0; i < oneThread.size(); ++i) {
-    EXPECT_EQ(oneThread[i], fourThreads[i]) << "value differs at " << i;
   }
 }
 

@@ -255,20 +255,6 @@ TEST(DetectOptions, SkipFinestLevelsIsAttributedAsUnavailable) {
   EXPECT_GT(report.skips[0].windowsLost, 0);
 }
 
-TEST(DetectOptions, CancelAbandonsEveryLevelAsDeadlineExceeded) {
-  auto detector = makeDetector(/*temporal=*/false, /*maxLevels=*/2);
-  const Image frame = testFrame();
-  core::DegradationReport report;
-  core::DetectOptions options;
-  options.cancel = [] { return true; };
-  const auto detections = detector->detect(frame, options, &report);
-  EXPECT_TRUE(detections.empty());
-  ASSERT_GE(report.levelsSkipped, 1);
-  for (const core::LevelSkip& skip : report.skips) {
-    EXPECT_EQ(skip.status.code(), StatusCode::kDeadlineExceeded);
-  }
-}
-
 TEST(BatchOptions, PastDeadlineAbandonsAFrameMidBurst) {
   for (bool temporal : {false, true}) {
     auto detector = makeDetector(temporal, /*maxLevels=*/2);

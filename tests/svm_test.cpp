@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -120,17 +119,6 @@ TEST(Serialize, BadHeaderIsDataLoss) {
   std::stringstream buffer("not-a-model 3");
   EXPECT_EQ(tryLoadModel(buffer).status().code(),
             pcnn::StatusCode::kDataLoss);
-}
-
-TEST(Serialize, FileRoundTrip) {
-  LinearSvm model;
-  model.train({{2.0f}, {-2.0f}}, {1, -1});
-  const std::string path = "/tmp/pcnn_test_svm_model.txt";
-  ASSERT_TRUE(trySaveModelFile(model, path).ok());
-  StatusOr<LinearSvm> loaded = tryLoadModelFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-  EXPECT_DOUBLE_EQ(model.decision({1.5f}), loaded.value().decision({1.5f}));
-  std::remove(path.c_str());
 }
 
 TEST(Mining, RequiresBothClasses) {

@@ -11,7 +11,6 @@
 #include "tn/spike_coding.hpp"
 #include "tn/util_corelets.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 namespace pcnn::tn {
@@ -324,19 +323,6 @@ TEST(ModelIo, BadInputRejected) {
             pcnn::StatusCode::kDataLoss);
 }
 
-TEST(ModelIo, FileRoundTrip) {
-  Network net(1);
-  net.addCore();
-  net.core(0).setConnection(4, 4, true);
-  const std::string path = "/tmp/pcnn_test_tn_model.txt";
-  ASSERT_TRUE(trySaveModelFile(net, path).ok());
-  StatusOr<std::unique_ptr<Network>> loaded = tryLoadModelFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-  EXPECT_TRUE(
-      static_cast<const Network&>(*loaded.value()).core(0).connection(4, 4));
-  std::remove(path.c_str());
-}
-
 TEST(UtilCorelets, SplitterDuplicatesStream) {
   Network net(1);
   CoreletBuilder builder(net);
@@ -460,22 +446,6 @@ TEST(SpikeCoding, RateCodeTicksCountMatches) {
   }
 }
 
-TEST(SpikeCoding, StochasticCodeMeanApproximatesValue) {
-  Rng rng(77);
-  int total = 0;
-  const int windows = 200;
-  for (int i = 0; i < windows; ++i) {
-    total += static_cast<int>(stochasticCodeTicks(0.3f, 32, rng).size());
-  }
-  const double meanRate = static_cast<double>(total) / (windows * 32.0);
-  EXPECT_NEAR(meanRate, 0.3, 0.03);
-}
-
-TEST(SpikeCoding, DecodeRate) {
-  EXPECT_FLOAT_EQ(decodeRate(32, 64), 0.5f);
-  EXPECT_FLOAT_EQ(decodeRate(0, 0), 0.0f);
-}
-
 class RatePrecisionTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RatePrecisionTest, QuantizationErrorBoundedByHalfStep) {
@@ -483,7 +453,8 @@ TEST_P(RatePrecisionTest, QuantizationErrorBoundedByHalfStep) {
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
     const float v = static_cast<float>(rng.uniform());
-    const float decoded = decodeRate(rateCodeCount(v, window), window);
+    const float decoded = static_cast<float>(rateCodeCount(v, window)) /
+                          static_cast<float>(window);
     EXPECT_LE(std::abs(decoded - v), 0.5f / static_cast<float>(window) + 1e-6f);
   }
 }
