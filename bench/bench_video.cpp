@@ -193,9 +193,9 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", outPath.c_str());
 
-  // With PCNN_TRACE / PCNN_METRICS set, flush the run's spans and counter
-  // snapshot here so the paths appear in the bench log (they would also be
-  // written at exit).
+  // With PCNN_TRACE / PCNN_METRICS set, flush the run's spans and final
+  // metrics window here so the paths appear in the bench log (the at-exit
+  // flush then adds nothing).
   if (!obs::configuredTracePath().empty() ||
       !obs::configuredMetricsPath().empty()) {
     obs::writeConfiguredReports();

@@ -253,9 +253,9 @@ int main(int argc, char** argv) {
   std::fclose(out);
   std::printf("wrote %s\n", outPath.c_str());
 
-  // With PCNN_TRACE / PCNN_METRICS set, the run's spans and counter
-  // snapshot land next to the bench output (they would also be written at
-  // exit; doing it here makes the paths visible in the bench log).
+  // With PCNN_TRACE / PCNN_METRICS set, the run's spans and final metrics
+  // window land next to the bench output (the at-exit flush then adds
+  // nothing; doing it here makes the paths visible in the bench log).
   if (!obs::configuredTracePath().empty() ||
       !obs::configuredMetricsPath().empty()) {
     obs::writeConfiguredReports();

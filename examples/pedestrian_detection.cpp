@@ -180,8 +180,9 @@ int main(int argc, char** argv) {
     runExtractor(name, numScenes, seed);
   }
 
-  // With PCNN_TRACE / PCNN_METRICS set, the whole run's spans and counters
-  // are exported here (and again at exit, harmlessly overwriting).
+  // With PCNN_TRACE / PCNN_METRICS set, the whole run's spans and metrics
+  // window are exported here (the at-exit flush rewrites the trace and
+  // appends no second metrics line).
   if (!obs::configuredTracePath().empty() ||
       !obs::configuredMetricsPath().empty()) {
     obs::writeConfiguredReports();

@@ -11,7 +11,8 @@
 // module the analytic model provisions.
 //
 // Run with PCNN_METRICS=<path> to also capture the tn.spikes / tn.ticks
-// counters the simulator feeds into the metrics snapshot.
+// counters the simulator feeds into the metrics window line written at
+// exit.
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -187,7 +188,7 @@ int main() {
   }
 
   // The simulator also feeds the global tn.* metrics counters; surface
-  // them (and the PCNN_METRICS snapshot, when requested) so the measured
+  // them (and write the PCNN_METRICS window, when requested) so the measured
   // numbers above can be cross-checked against the telemetry layer.
   if (pcnn::obs::metricsEnabled()) {
     std::printf("\ntn counters: spikes=%ld ticks=%ld runs=%ld\n",

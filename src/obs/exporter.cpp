@@ -1,33 +1,41 @@
-// Streaming metrics exporter: a background thread gated by
-// PCNN_METRICS_PERIOD_MS that turns the exit-time snapshot into a
-// periodic stream. Each tick advances the global window (windowSnapshot)
-// and either appends one NDJSON line to PCNN_METRICS or -- when the path
-// ends in ".prom" -- rewrites the file with the cumulative Prometheus
-// exposition. stop() flushes one final window and joins; the exit-time
-// report then skips its cumulative metrics write so nothing is emitted
-// twice.
+// Metrics exporter: the one path by which PCNN_METRICS reaches its file.
+// Export to a path starts when configureFromEnv() (or a direct
+// startMetricsExporter call) names it; the first export to a file in this
+// process truncates it. With PCNN_METRICS_PERIOD_MS a background thread
+// appends one NDJSON window line (windowSnapshot + windowJson) per period.
+// stop() -- run at exit by writeConfiguredReports -- joins that thread and
+// appends one final window, so an exit-time-only export is exactly one
+// line covering the whole run, and a second stop() appends nothing.
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 
-#include "obs/json_util.hpp"
 #include "obs/obs.hpp"
 
 namespace pcnn::obs {
 
 namespace {
 
+bool isStderr(const std::string& path) {
+  return path == "stderr" || path == "-";
+}
+
 struct Exporter {
-  /// Serializes start/stop (held across thread join). The worker thread
-  /// never takes it, so joining under it cannot deadlock.
+  /// Serializes start/stop (held across thread join and the final flush).
+  /// The worker thread never takes it, so joining under it cannot
+  /// deadlock.
   std::mutex lifecycle;
-  bool running = false;  ///< guarded by lifecycle
-  std::thread thread;    ///< guarded by lifecycle
-  std::string path;      ///< guarded by lifecycle
-  int periodMs = 0;      ///< guarded by lifecycle
+  std::string path;  ///< guarded by lifecycle; "" = not exporting
+  int periodMs = 0;  ///< guarded by lifecycle; 0 = final window only
+  std::thread thread;  ///< guarded by lifecycle; joinable while streaming
+  /// Files this process has truncated (guarded by lifecycle), so a rerun
+  /// into a used path starts clean but a re-export within one process
+  /// keeps appending under the process-wide, still increasing seq.
+  std::set<std::string> truncated;
 
   std::mutex mutex;  ///< guards stopRequested for the cv
   std::condition_variable cv;
@@ -39,18 +47,10 @@ struct Exporter {
   }
 };
 
-/// Emits one window to `path`. A window flagged baselineReset (a
-/// concurrent resetMetrics() invalidated the deltas) is skipped entirely
-/// rather than reported with clamped or negative values.
+/// Advances the global window and appends its line to `path`.
 void emitWindow(const std::string& path) {
-  const WindowSnapshot w = windowSnapshot();
-  if (w.baselineReset) return;
-  if (internal::promFormatPath(path)) {
-    internal::writeStringToFile(path, expositionText());
-    return;
-  }
-  const std::string line = windowJson(w);
-  if (path == "stderr" || path == "-") {
+  const std::string line = windowJson(windowSnapshot());
+  if (isStderr(path)) {
     std::fprintf(stderr, "%s\n", line.c_str());
     return;
   }
@@ -67,43 +67,50 @@ void exporterLoop(std::string path, int periodMs) {
       std::unique_lock<std::mutex> lock(e.mutex);
       e.cv.wait_for(lock, std::chrono::milliseconds(periodMs),
                     [&] { return e.stopRequested; });
-      if (e.stopRequested) break;
+      if (e.stopRequested) return;
     }
     emitWindow(path);
   }
-  // Final flush: whatever accumulated since the last tick.
-  emitWindow(path);
 }
 
-/// Caller holds e.lifecycle.
+/// Caller holds e.lifecycle. Ends the current export with its final
+/// window; a no-op when nothing is being exported.
 void stopUnderLifecycle(Exporter& e) {
-  if (!e.running) return;
-  {
-    std::lock_guard<std::mutex> lock(e.mutex);
-    e.stopRequested = true;
+  if (e.path.empty()) return;
+  if (e.thread.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(e.mutex);
+      e.stopRequested = true;
+    }
+    e.cv.notify_all();
+    e.thread.join();
   }
-  e.cv.notify_all();
-  e.thread.join();
-  e.running = false;
+  emitWindow(e.path);
+  e.path.clear();
+  e.periodMs = 0;
 }
 
 }  // namespace
 
 void startMetricsExporter(const std::string& path, int periodMs) {
   if (!kCompiledIn) return;
+  if (path.empty() || periodMs < 0) periodMs = 0;
   auto& e = Exporter::instance();
   std::lock_guard<std::mutex> life(e.lifecycle);
-  if (e.running && e.path == path && e.periodMs == periodMs) return;
+  if (e.path == path && e.periodMs == periodMs) return;
   stopUnderLifecycle(e);
-  if (path.empty() || periodMs <= 0) return;
+  if (path.empty()) return;
+  if (!isStderr(path) && e.truncated.insert(path).second) {
+    if (std::FILE* f = std::fopen(path.c_str(), "w")) std::fclose(f);
+  }
+  e.path = path;
+  e.periodMs = periodMs;
+  if (periodMs == 0) return;
   {
     std::lock_guard<std::mutex> lock(e.mutex);
     e.stopRequested = false;
   }
-  e.path = path;
-  e.periodMs = periodMs;
   e.thread = std::thread(exporterLoop, path, periodMs);
-  e.running = true;
 }
 
 void stopMetricsExporter() {
@@ -115,7 +122,7 @@ void stopMetricsExporter() {
 bool metricsExporterRunning() {
   auto& e = Exporter::instance();
   std::lock_guard<std::mutex> life(e.lifecycle);
-  return e.running;
+  return e.thread.joinable();
 }
 
 }  // namespace pcnn::obs

@@ -56,9 +56,4 @@ inline bool writeStringToFile(const std::string& path,
   return ok;
 }
 
-/// True when the metrics path requests Prometheus exposition format.
-inline bool promFormatPath(const std::string& path) {
-  return path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
-}
-
 }  // namespace pcnn::obs::internal

@@ -1,9 +1,7 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -120,11 +118,6 @@ struct MetricsStore {
   std::map<std::string, HistBaseline> histBase;
   double windowStartUs = 0.0;
   long long windowSeq = 0;
-  /// resetMetrics() bumps resetEpoch; windowSnapshot() re-baselines (and
-  /// flags the window) whenever it observes a mismatch, so a concurrent
-  /// exporter never emits negative deltas.
-  unsigned long resetEpoch = 0;
-  unsigned long windowEpoch = 0;
 
   static MetricsStore& instance() {
     static MetricsStore* store = new MetricsStore();
@@ -177,8 +170,8 @@ void setFlightEnabled(bool on) {
 
 void configureFromEnv() {
   // PCNN_OBS is a master switch defaulting to on; PCNN_TRACE/PCNN_METRICS/
-  // PCNN_FLIGHT are output paths, not flags. PCNN_METRICS_PERIOD_MS turns
-  // the exit-time metrics snapshot into a periodic stream.
+  // PCNN_FLIGHT are output paths, not flags. PCNN_METRICS_PERIOD_MS adds
+  // periodic window lines before the exit-time one.
   const bool masterOn = env::flag("PCNN_OBS", true);
   const std::string trace = env::str("PCNN_TRACE");
   const std::string metrics = env::str("PCNN_METRICS");
@@ -201,11 +194,7 @@ void configureFromEnv() {
   setTraceEnabled(masterOn && !trace.empty());
   setMetricsEnabled(masterOn && !metrics.empty());
   setFlightEnabled(masterOn && !flight.empty());
-  if (masterOn && !metrics.empty() && periodMs > 0) {
-    startMetricsExporter(metrics, periodMs);
-  } else {
-    stopMetricsExporter();
-  }
+  startMetricsExporter(masterOn ? metrics : "", periodMs);
   if (anyConfigured) {
     static bool atExitRegistered = false;
     static std::mutex registerMutex;
@@ -276,114 +265,16 @@ LatencyHistogram& histogram(const std::string& name) {
 void LatencyHistogram::record(double us) {
   if (!metricsEnabled()) return;
   if (us < 0.0) us = 0.0;
-  const auto nanos = static_cast<long long>(us * 1e3);
   count_.fetch_add(1, std::memory_order_relaxed);
-  sumNanos_.fetch_add(nanos, std::memory_order_relaxed);
-  long long seen = minNanos_.load(std::memory_order_relaxed);
-  while ((seen < 0 || nanos < seen) &&
-         !minNanos_.compare_exchange_weak(seen, nanos,
-                                          std::memory_order_relaxed)) {
-  }
-  seen = maxNanos_.load(std::memory_order_relaxed);
-  while (nanos > seen &&
-         !maxNanos_.compare_exchange_weak(seen, nanos,
-                                          std::memory_order_relaxed)) {
-  }
-  // Bucket i holds samples in [2^i, 2^(i+1)) us; sub-microsecond samples
-  // land in bucket 0.
-  int bucket = 0;
-  for (auto u = static_cast<unsigned long>(us); u > 1; u >>= 1) ++bucket;
-  if (bucket >= kBuckets) bucket = kBuckets - 1;
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-}
-
-double LatencyHistogram::minMicros() const {
-  const long long nanos = minNanos_.load(std::memory_order_relaxed);
-  return nanos < 0 ? 0.0 : static_cast<double>(nanos) * 1e-3;
-}
-
-double LatencyHistogram::maxMicros() const {
-  return static_cast<double>(maxNanos_.load(std::memory_order_relaxed)) *
-         1e-3;
+  sumNanos_.fetch_add(static_cast<long long>(us * 1e3),
+                      std::memory_order_relaxed);
+  buckets_[bucketIndex(us)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void LatencyHistogram::reset() {
   count_.store(0, std::memory_order_relaxed);
   sumNanos_.store(0, std::memory_order_relaxed);
-  minNanos_.store(-1, std::memory_order_relaxed);
-  maxNanos_.store(0, std::memory_order_relaxed);
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
-MetricsSnapshot snapshot() {
-  MetricsSnapshot snap;
-  auto& store = MetricsStore::instance();
-  std::lock_guard<std::mutex> lock(store.mutex);
-  for (const auto& [name, c] : store.counters) {
-    if (c->value() != 0) snap.counters.emplace_back(name, c->value());
-  }
-  for (const auto& [name, g] : store.gauges) {
-    if (g->updateCount() != 0) snap.gauges.emplace_back(name, g->value());
-  }
-  for (const auto& [name, h] : store.histograms) {
-    if (h->count() == 0) continue;
-    HistogramStats stats;
-    stats.name = name;
-    stats.count = h->count();
-    stats.sumUs = h->sumMicros();
-    stats.minUs = h->minMicros();
-    stats.maxUs = h->maxMicros();
-    for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      if (h->bucket(i) != 0) {
-        stats.buckets.emplace_back(static_cast<double>(1ul << (i + 1)),
-                                   h->bucket(i));
-      }
-    }
-    snap.histograms.push_back(std::move(stats));
-  }
-  return snap;
-}
-
-std::string snapshotJson() {
-  const MetricsSnapshot snap = snapshot();
-  std::string out = "{\n  \"counters\": {";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    out += i ? ",\n    \"" : "\n    \"";
-    appendJsonEscaped(out, snap.counters[i].first.c_str());
-    out += "\": " + std::to_string(snap.counters[i].second);
-  }
-  out += snap.counters.empty() ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    out += i ? ",\n    \"" : "\n    \"";
-    appendJsonEscaped(out, snap.gauges[i].first.c_str());
-    out += "\": ";
-    appendNumber(out, snap.gauges[i].second);
-  }
-  out += snap.gauges.empty() ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const HistogramStats& h = snap.histograms[i];
-    out += i ? ",\n    \"" : "\n    \"";
-    appendJsonEscaped(out, h.name.c_str());
-    out += "\": {\"count\": " + std::to_string(h.count) + ", \"sum_us\": ";
-    appendNumber(out, h.sumUs);
-    out += ", \"min_us\": ";
-    appendNumber(out, h.minUs);
-    out += ", \"max_us\": ";
-    appendNumber(out, h.maxUs);
-    out += ", \"buckets\": [";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b) out += ", ";
-      out += "[";
-      appendNumber(out, h.buckets[b].first);
-      out += ", " + std::to_string(h.buckets[b].second) + "]";
-    }
-    out += "]}";
-  }
-  out += snap.histograms.empty() ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
 }
 
 void resetMetrics() {
@@ -392,9 +283,10 @@ void resetMetrics() {
   for (auto& [name, c] : store.counters) c->reset();
   for (auto& [name, g] : store.gauges) g->reset();
   for (auto& [name, h] : store.histograms) h->reset();
-  // Invalidate window baselines: the next windowSnapshot() rebuilds them
-  // and reports baselineReset instead of negative deltas.
-  ++store.resetEpoch;
+  // The baselines drop to zero with the values they track, so the window
+  // spanning this reset reports the post-reset activity.
+  for (auto& [name, base] : store.counterBase) base = 0;
+  for (auto& [name, base] : store.histBase) base = HistBaseline{};
 }
 
 // --------------------------------------------------------------------------
@@ -433,19 +325,14 @@ WindowSnapshot windowSnapshot() {
   w.startUs = store.windowStartUs;
   w.endUs = nowMicros();
   store.windowStartUs = w.endUs;
-  const bool rebaseline = store.windowEpoch != store.resetEpoch;
-  store.windowEpoch = store.resetEpoch;
-  w.baselineReset = rebaseline;
 
   for (const auto& [name, c] : store.counters) {
     const long cur = c->value();
     long& base = store.counterBase[name];
-    if (!rebaseline) {
-      const long delta = cur - base;
-      // A negative delta means someone reset the counter directly without
-      // resetMetrics(); swallow it and re-baseline rather than lie.
-      if (delta > 0) w.counters.emplace_back(name, delta);
-    }
+    const long delta = cur - base;
+    // A negative delta means someone reset the counter directly without
+    // resetMetrics(); swallow it and re-baseline rather than lie.
+    if (delta > 0) w.counters.emplace_back(name, delta);
     base = cur;
   }
   for (const auto& [name, h] : store.histograms) {
@@ -456,24 +343,22 @@ WindowSnapshot windowSnapshot() {
     for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
       curBuckets[i] = h->bucket(i);
     }
-    if (!rebaseline) {
-      const long dCount = curCount - base.count;
-      if (dCount > 0) {
-        WindowHistogramStats stats;
-        stats.name = name;
-        stats.count = dCount;
-        stats.sumUs = curSum - base.sumUs;
-        if (stats.sumUs < 0.0) stats.sumUs = 0.0;
-        long dBuckets[LatencyHistogram::kBuckets];
-        for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
-          const long d = curBuckets[i] - base.buckets[i];
-          dBuckets[i] = d > 0 ? d : 0;
-        }
-        stats.p50Us = quantileFromDeltaBuckets(dBuckets, dCount, 0.50);
-        stats.p95Us = quantileFromDeltaBuckets(dBuckets, dCount, 0.95);
-        stats.p99Us = quantileFromDeltaBuckets(dBuckets, dCount, 0.99);
-        w.histograms.push_back(std::move(stats));
+    const long dCount = curCount - base.count;
+    if (dCount > 0) {
+      WindowHistogram stats;
+      stats.name = name;
+      stats.count = dCount;
+      stats.sumUs = curSum - base.sumUs;
+      if (stats.sumUs < 0.0) stats.sumUs = 0.0;
+      long dBuckets[LatencyHistogram::kBuckets];
+      for (int i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        const long d = curBuckets[i] - base.buckets[i];
+        dBuckets[i] = d > 0 ? d : 0;
       }
+      stats.p50Us = quantileFromDeltaBuckets(dBuckets, dCount, 0.50);
+      stats.p95Us = quantileFromDeltaBuckets(dBuckets, dCount, 0.95);
+      stats.p99Us = quantileFromDeltaBuckets(dBuckets, dCount, 0.99);
+      w.histograms.push_back(std::move(stats));
     }
     base.count = curCount;
     base.sumUs = curSum;
@@ -491,7 +376,6 @@ std::string windowJson(const WindowSnapshot& w) {
   appendNumber(out, w.startUs);
   out += ", \"window_end_us\": ";
   appendNumber(out, w.endUs);
-  if (w.baselineReset) out += ", \"baseline_reset\": true";
   out += ", \"counters\": {";
   for (std::size_t i = 0; i < w.counters.size(); ++i) {
     if (i) out += ", ";
@@ -509,7 +393,7 @@ std::string windowJson(const WindowSnapshot& w) {
   }
   out += "}, \"histograms\": {";
   for (std::size_t i = 0; i < w.histograms.size(); ++i) {
-    const WindowHistogramStats& h = w.histograms[i];
+    const WindowHistogram& h = w.histograms[i];
     if (i) out += ", ";
     out += "\"";
     appendJsonEscaped(out, h.name.c_str());
@@ -524,56 +408,6 @@ std::string windowJson(const WindowSnapshot& w) {
     out += "}";
   }
   out += "}}";
-  return out;
-}
-
-// --------------------------------------------------------------------------
-// Prometheus-style exposition
-
-namespace {
-
-std::string promName(const std::string& name) {
-  std::string out = "pcnn_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string expositionText() {
-  const MetricsSnapshot snap = snapshot();
-  std::string out;
-  for (const auto& [name, value] : snap.counters) {
-    const std::string n = promName(name);
-    out += "# TYPE " + n + " counter\n";
-    out += n + " " + std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    const std::string n = promName(name);
-    out += "# TYPE " + n + " gauge\n";
-    out += n + " ";
-    appendNumber(out, value);
-    out += "\n";
-  }
-  for (const HistogramStats& h : snap.histograms) {
-    const std::string n = promName(h.name);
-    out += "# TYPE " + n + " histogram\n";
-    long cum = 0;
-    for (const auto& [upperUs, count] : h.buckets) {
-      cum += count;
-      char le[40];
-      std::snprintf(le, sizeof(le), "%.0f", upperUs);
-      out += n + "_bucket{le=\"" + le + "\"} " + std::to_string(cum) + "\n";
-    }
-    out += n + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-    out += n + "_sum ";
-    appendNumber(out, h.sumUs);
-    out += "\n" + n + "_count " + std::to_string(h.count) + "\n";
-  }
   return out;
 }
 
@@ -674,26 +508,10 @@ bool writeTrace(const std::string& path) {
   return writeStringToFile(path, traceJson());
 }
 
-bool writeMetrics(const std::string& path) {
-  if (internal::promFormatPath(path)) {
-    return writeStringToFile(path, expositionText());
-  }
-  return writeStringToFile(path, snapshotJson());
-}
-
 void writeConfiguredReports() {
   const std::string trace = configuredTracePath();
-  const std::string metrics = configuredMetricsPath();
   if (!trace.empty()) writeTrace(trace);
-  if (metrics.empty()) return;
-  if (configuredMetricsPeriodMs() > 0) {
-    // Streaming mode: the exporter owns the metrics file. Stop it (which
-    // flushes one final window) instead of overwriting the stream with a
-    // cumulative snapshot -- and never write that final window twice.
-    stopMetricsExporter();
-    return;
-  }
-  writeMetrics(metrics);
+  stopMetricsExporter();
 }
 
 }  // namespace pcnn::obs

@@ -17,10 +17,11 @@ namespace pcnn::obs {
 ///  - compile time: configuring with -DPCNN_OBS=OFF defines
 ///    PCNN_OBS_DISABLED for the whole tree; the macros expand to nothing
 ///    and the inline fast paths fold to constants. The library still
-///    links, snapshot() is empty, every call is a no-op.
+///    links, windowSnapshot() is empty, every call is a no-op.
 ///  - runtime: PCNN_TRACE=<path> turns on span recording (exported to
 ///    <path> at exit), PCNN_METRICS=<path|stderr> turns on counters and
-///    histograms (snapshot written at exit, or streamed periodically when
+///    histograms (one NDJSON window line covering the run written at
+///    exit, or one line per period plus a final one when
 ///    PCNN_METRICS_PERIOD_MS is also set), PCNN_FLIGHT=<path> arms the
 ///    flight recorder (see obs/flight.hpp). PCNN_OBS=off is a master
 ///    kill switch overriding all of them. With none of the variables set,
@@ -144,7 +145,7 @@ class Gauge {
   double value() const {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
-  /// Number of set()/add() calls since the last reset; snapshots use this
+  /// Number of set()/add() calls since the last reset; windows use this
   /// to tell "never touched" from "legitimately set to 0".
   long updateCount() const {
     return updates_.load(std::memory_order_relaxed);
@@ -164,11 +165,23 @@ Gauge& gauge(const std::string& name);
 // --------------------------------------------------------------------------
 // Latency histograms
 
-/// Log2-bucketed latency histogram over microseconds, with count / sum /
-/// min / max. record() is lock-free.
+/// Log2-bucketed latency histogram over microseconds, with count and sum.
+/// record() is lock-free.
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 32;  ///< bucket i: [2^i, 2^(i+1)) us
+
+  /// The bucket record() files `us` under: bucket i holds [2^i, 2^(i+1))
+  /// us, samples below 2 us (negative and NaN included) land in bucket 0
+  /// and samples of 2^31 us or more in the last bucket.
+  static int bucketIndex(double us) {
+    int bucket = 0;
+    for (double bound = 2.0; us >= bound && bucket < kBuckets - 1;
+         bound *= 2.0) {
+      ++bucket;
+    }
+    return bucket;
+  }
 
   void record(double us);
 
@@ -177,8 +190,6 @@ class LatencyHistogram {
     return static_cast<double>(sumNanos_.load(std::memory_order_relaxed)) *
            1e-3;
   }
-  double minMicros() const;
-  double maxMicros() const;
   long bucket(int i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
@@ -187,8 +198,6 @@ class LatencyHistogram {
  private:
   std::atomic<long> count_{0};
   std::atomic<long long> sumNanos_{0};
-  std::atomic<long long> minNanos_{-1};  ///< -1 = no samples yet
-  std::atomic<long long> maxNanos_{0};
   std::atomic<long> buckets_[kBuckets] = {};
 };
 
@@ -213,41 +222,9 @@ class ScopedTimer {
 };
 
 // --------------------------------------------------------------------------
-// Snapshot (cumulative, since process start / last resetMetrics)
-
-struct HistogramStats {
-  std::string name;
-  long count = 0;
-  double sumUs = 0.0;
-  double minUs = 0.0;
-  double maxUs = 0.0;
-  std::vector<std::pair<double, long>> buckets;  ///< (upper bound us, count)
-};
-
-struct MetricsSnapshot {
-  std::vector<std::pair<std::string, long>> counters;  ///< nonzero only
-  std::vector<std::pair<std::string, double>> gauges;  ///< touched only
-  std::vector<HistogramStats> histograms;              ///< nonempty only
-  bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty();
-  }
-};
-
-/// Current values of every nonzero counter / touched gauge / nonempty
-/// histogram.
-MetricsSnapshot snapshot();
-/// snapshot() rendered as a JSON object.
-std::string snapshotJson();
-/// Zeroes all counters, gauges and histograms. Bumps the
-/// window epoch, so a concurrent windowSnapshot() (e.g. the streaming
-/// exporter) re-baselines and flags the window instead of reporting
-/// negative deltas.
-void resetMetrics();
-
-// --------------------------------------------------------------------------
 // Windowed snapshot (deltas since the previous windowSnapshot call)
 
-struct WindowHistogramStats {
+struct WindowHistogram {
   std::string name;
   long count = 0;      ///< samples recorded this window
   double sumUs = 0.0;  ///< time accumulated this window
@@ -262,13 +239,9 @@ struct WindowSnapshot {
   long long seq = 0;        ///< monotonically increasing window number
   double startUs = 0.0;     ///< window start (process-relative)
   double endUs = 0.0;       ///< window end = snapshot time
-  /// True when resetMetrics() landed since the previous window: the
-  /// baseline was rebuilt and all deltas suppressed for this window.
-  /// Consumers (the exporter) should skip such a window.
-  bool baselineReset = false;
   std::vector<std::pair<std::string, long>> counters;  ///< deltas, nonzero
   std::vector<std::pair<std::string, double>> gauges;  ///< current values
-  std::vector<WindowHistogramStats> histograms;        ///< count > 0 only
+  std::vector<WindowHistogram> histograms;             ///< count > 0 only
 };
 
 /// Advances the global window: returns per-interval counter/histogram
@@ -276,6 +249,11 @@ struct WindowSnapshot {
 /// this instant the new baseline. Thread-safe; concurrent callers see
 /// disjoint windows.
 WindowSnapshot windowSnapshot();
+/// Zeroes all counters, gauges and histograms, and the window baselines
+/// with them (under the lock windowSnapshot() takes), so the window that
+/// spans a reset reports exactly the post-reset activity, never a
+/// negative delta.
+void resetMetrics();
 
 /// Linear interpolation of the q-quantile inside log2 delta buckets
 /// (bucket i covers [2^i, 2^(i+1)) us; bucket 0 covers [0, 2)). This is
@@ -290,28 +268,21 @@ double quantileFromDeltaBuckets(const long* delta, long count, double q);
 std::string windowJson(const WindowSnapshot& w);
 
 // --------------------------------------------------------------------------
-// Prometheus-style text exposition (cumulative, for a /metrics endpoint)
+// Metrics export (PCNN_METRICS; periodic lines with PCNN_METRICS_PERIOD_MS)
 
-/// snapshot() rendered in the Prometheus text exposition format: metric
-/// names are prefixed "pcnn_" and sanitized (non-[a-zA-Z0-9_] -> '_'),
-/// each metric gets one `# TYPE` line, histograms emit cumulative
-/// `_bucket{le="..."}` series plus `_sum`/`_count`.
-std::string expositionText();
-
-// --------------------------------------------------------------------------
-// Streaming exporter (background thread, PCNN_METRICS_PERIOD_MS)
-
-/// Starts (or reconfigures) the background exporter appending one
-/// windowJson() line per period to `path` ("stderr"/"-" = stderr). A path
-/// ending in ".prom" is instead rewritten with expositionText() each
-/// period. Idempotent: same path+period is a no-op; a change restarts the
-/// thread. Normally driven by configureFromEnv().
+/// Starts (or reconfigures) metrics export to `path` ("stderr"/"-" =
+/// stderr): one windowJson() line appended per period from a background
+/// thread, or none before the final flush when `periodMs` <= 0. The file
+/// is truncated the first time this process exports to it, so a rerun
+/// never appends to an earlier run's lines. Idempotent: same path+period
+/// is a no-op; a change first ends the current export (final flush). An
+/// empty path ends export. Normally driven by configureFromEnv().
 void startMetricsExporter(const std::string& path, int periodMs);
-/// Stops the exporter thread, flushing one final window. Idempotent; runs
-/// automatically at process exit before the exit-time report (which then
-/// skips the cumulative metrics write so the final window is not
-/// double-written).
+/// Ends the current export: stops the thread, if any, and appends one
+/// final window covering everything since the previous line (with no
+/// period, the whole run). Idempotent: a second call writes nothing.
 void stopMetricsExporter();
+/// True while the periodic exporter thread runs.
 bool metricsExporterRunning();
 
 // --------------------------------------------------------------------------
@@ -351,13 +322,10 @@ void clearTrace();
 
 /// Writes traceJson() to `path`. Returns false on I/O failure.
 bool writeTrace(const std::string& path);
-/// Writes snapshotJson() to `path` ("stderr" or "-" writes to stderr); a
-/// path ending in ".prom" gets expositionText() instead.
-bool writeMetrics(const std::string& path);
-/// Writes whatever PCNN_TRACE / PCNN_METRICS requested (no-op when unset).
-/// Also runs automatically at process exit, so ad-hoc runs need no code.
-/// When the streaming exporter is active it is stopped (flushing its
-/// final window) and the cumulative metrics write is skipped.
+/// Writes whatever PCNN_TRACE / PCNN_METRICS requested (no-op when unset):
+/// the trace, and the metrics export's final window (stopMetricsExporter).
+/// Also runs automatically at process exit, so ad-hoc runs need no code;
+/// calling it again appends no second metrics line.
 void writeConfiguredReports();
 
 }  // namespace pcnn::obs

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/env.hpp"
@@ -32,15 +32,6 @@ struct ServeMetrics {
 ServeMetrics& metrics() {
   static ServeMetrics m;
   return m;
-}
-
-/// Same bucketing as LatencyHistogram::record, for the service's local
-/// (ungated) control window: bucket i holds [2^i, 2^(i+1)) us.
-int latencyBucket(double us) {
-  if (us < 0.0) us = 0.0;
-  int bucket = 0;
-  for (auto u = static_cast<unsigned long>(us); u > 1; u >>= 1) ++bucket;
-  return std::min(bucket, obs::LatencyHistogram::kBuckets - 1);
 }
 
 int clampLevel(int level) {
@@ -102,12 +93,13 @@ DetectionService::DetectionService(
     throw std::invalid_argument("DetectionService: primary detector is null");
   }
   if (params_.readEnv) {
-    params_.queueCapacity = static_cast<std::size_t>(env::intValue(
-        "PCNN_SERVE_QUEUE", static_cast<int>(params_.queueCapacity), 1,
-        1 << 20));
-    params_.deadlineMs = env::intValue(
-        "PCNN_SERVE_DEADLINE_MS", static_cast<int>(params_.deadlineMs), 0,
-        1 << 30);
+    // Each fallback lies outside its variable's range, so it marks "unset
+    // or malformed" and the caller's value stays exactly as given.
+    const int queue = env::intValue("PCNN_SERVE_QUEUE", 0, 1, 1 << 20);
+    if (queue > 0) params_.queueCapacity = static_cast<std::size_t>(queue);
+    const int deadline =
+        env::intValue("PCNN_SERVE_DEADLINE_MS", -1, 0, 1 << 30);
+    if (deadline >= 0) params_.deadlineMs = deadline;
   }
   if (params_.maxBatch < 1) params_.maxBatch = 1;
   if (params_.idleTickMs < 1) params_.idleTickMs = 1;
@@ -312,25 +304,20 @@ void DetectionService::processBatch(std::vector<Pending>& batch) {
     metrics().queueUs.record(response.queueUs);
     const double latencyUs = obs::nowMicros() - batch[i].enqueueUs;
     metrics().latencyUs.record(latencyUs);
-    ++latencyBuckets_[latencyBucket(latencyUs)];
-    ++latencyCount_;
+    ++tickLatencyBuckets_[obs::LatencyHistogram::bucketIndex(latencyUs)];
+    ++tickLatencyCount_;
     batch[i].promise.set_value(std::move(response));
   }
 }
 
 void DetectionService::controlTick(std::size_t depthNow) {
-  // Window the local latency buckets against the previous tick's baseline
-  // -- the same delta-quantile math the streaming exporter uses, but on a
-  // private baseline so the control loop neither depends on PCNN_METRICS
-  // nor steals the exporter's global window.
-  long delta[obs::LatencyHistogram::kBuckets];
-  for (int i = 0; i < obs::LatencyHistogram::kBuckets; ++i) {
-    delta[i] = latencyBuckets_[i] - latencyBaseline_[i];
-  }
-  const long deltaCount = latencyCount_ - latencyBaselineCount_;
-  const double p99Us = obs::quantileFromDeltaBuckets(delta, deltaCount, 0.99);
-  std::memcpy(latencyBaseline_, latencyBuckets_, sizeof(latencyBaseline_));
-  latencyBaselineCount_ = latencyCount_;
+  // The p99 of this tick's latencies -- the same quantile math the
+  // metrics export uses, but over private buckets so the control loop
+  // neither depends on PCNN_METRICS nor steals the exporter's window.
+  const double p99Us = obs::quantileFromDeltaBuckets(tickLatencyBuckets_,
+                                                     tickLatencyCount_, 0.99);
+  std::fill(std::begin(tickLatencyBuckets_), std::end(tickLatencyBuckets_), 0);
+  tickLatencyCount_ = 0;
 
   const int before = controller_.level();
   const int after = controller_.onTick(depthNow, params_.queueCapacity, p99Us,

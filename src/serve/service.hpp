@@ -98,7 +98,8 @@ class LoadController {
 /// Service configuration. Environment overrides (applied at construction
 /// unless `readEnv` is false): PCNN_SERVE_QUEUE (admission-queue
 /// capacity) and PCNN_SERVE_DEADLINE_MS (default per-request deadline
-/// budget; 0 disables deadlines).
+/// budget; 0 disables deadlines). An unset or malformed variable leaves
+/// its field exactly as given.
 struct ServiceParams {
   std::size_t queueCapacity = 64;
   /// Default per-request deadline budget in ms; <= 0 = no deadline.
@@ -204,14 +205,12 @@ class DetectionService {
   bool stop_ = false;
 
   LoadController controller_;
-  /// Windowed end-to-end latency for the controller: local log2 buckets
-  /// (recorded unconditionally -- obs histograms are gated on
-  /// PCNN_METRICS) read with obs::quantileFromDeltaBuckets against a
-  /// per-tick baseline. Worker-thread only.
-  long latencyBuckets_[obs::LatencyHistogram::kBuckets] = {};
-  long latencyCount_ = 0;
-  long latencyBaseline_[obs::LatencyHistogram::kBuckets] = {};
-  long latencyBaselineCount_ = 0;
+  /// End-to-end latencies since the last controlTick, in the log2 buckets
+  /// of obs::LatencyHistogram (recorded unconditionally -- obs histograms
+  /// are gated on PCNN_METRICS), read with obs::quantileFromDeltaBuckets
+  /// and cleared each tick. Worker-thread only.
+  long tickLatencyBuckets_[obs::LatencyHistogram::kBuckets] = {};
+  long tickLatencyCount_ = 0;
 
   /// Always-on accounting (stats()); mirrored into obs instruments.
   mutable std::mutex statsMutex_;

@@ -77,7 +77,7 @@ const std::optional<FaultPlan>& envFaultPlan();
 /// always counted (independent of the obs metrics gate, which is usually
 /// off) so DegradationReport can attribute observed quality loss to fault
 /// activity in any run. The same events also feed the gated obs counters
-/// tn.faults.* for metrics snapshots.
+/// tn.faults.* for the metrics export.
 struct FaultCounts {
   long droppedSpikes = 0;       ///< deliveries lost to spikeDropProb
   long deadCoreDrops = 0;       ///< deliveries targeting a dead core

@@ -3,6 +3,8 @@
 // Figure 4 / Figure 5 benches sweep at larger scale.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
@@ -10,6 +12,7 @@
 #include "eval/detection_eval.hpp"
 #include "eval/stats.hpp"
 #include "extract/registry.hpp"
+#include "io/io.hpp"
 #include "svm/linear_svm.hpp"
 #include "svm/mining.hpp"
 #include "vision/synth.hpp"
@@ -151,13 +154,16 @@ TEST(Integration, MissRateCurveImprovesWithBetterScores) {
   model.train(x, y);
 
   auto makeResults = [&](bool random) {
-    Rng noiseRng(7);
     core::GridDetectorParams params;
     params.scoreThreshold = -1e9f;
+    // The detector scores windows on pool threads, so the random score is
+    // a pure function of the window's features, not one shared Rng.
     core::GridDetector detector(
         params, featureHog, [&](const std::vector<float>& f) {
-          return random ? static_cast<float>(noiseRng.uniform(-1, 1))
-                        : static_cast<float>(model.decision(f));
+          if (!random) return static_cast<float>(model.decision(f));
+          const std::string bytes(reinterpret_cast<const char*>(f.data()),
+                                  f.size() * sizeof(float));
+          return static_cast<float>(Rng(io::fnv1a64(bytes)).uniform(-1, 1));
         });
     std::vector<eval::ImageResult> results;
     for (const auto& scene : data.testScenes) {

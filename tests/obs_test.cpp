@@ -63,6 +63,19 @@ std::string readWholeFile(const std::string& path) {
   return text;
 }
 
+/// The non-empty lines of an NDJSON document.
+std::vector<std::string> nonEmptyLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t nl = text.find('\n', start);
+    if (nl == std::string::npos) nl = text.size();
+    if (nl > start) lines.push_back(text.substr(start, nl - start));
+    start = nl + 1;
+  }
+  return lines;
+}
+
 // --- A minimal JSON reader, enough to parse back what obs exports --------
 
 struct JsonValue {
@@ -223,7 +236,13 @@ TEST(ObsCounters, ThreadSafeUnderParallelFor) {
   obs::LatencyHistogram& lat = obs::histogram("test.parallel_us");
   const long n = 20000;
   double expectedSum = 0.0;
-  for (long i = 0; i < n; ++i) expectedSum += static_cast<double>(i % 7) + 1.0;
+  // Values 1 / 2-3 / 4-7 us land in log2 buckets 0 / 1 / 2.
+  long expectedBuckets[3] = {};
+  for (long i = 0; i < n; ++i) {
+    const double v = static_cast<double>(i % 7) + 1.0;
+    expectedSum += v;
+    ++expectedBuckets[v < 2.0 ? 0 : v < 4.0 ? 1 : 2];
+  }
   setThreadCount(4);
   parallelFor(0, n, [&](long i) {
     hits.add();
@@ -233,8 +252,9 @@ TEST(ObsCounters, ThreadSafeUnderParallelFor) {
 
   EXPECT_EQ(hits.value(), n);
   EXPECT_EQ(lat.count(), n);
-  EXPECT_DOUBLE_EQ(lat.minMicros(), 1.0);
-  EXPECT_DOUBLE_EQ(lat.maxMicros(), 7.0);
+  for (int b = 0; b < obs::LatencyHistogram::kBuckets; ++b) {
+    EXPECT_EQ(lat.bucket(b), b < 3 ? expectedBuckets[b] : 0) << "bucket " << b;
+  }
   EXPECT_NEAR(lat.sumMicros(), expectedSum, 1.0);
 }
 
@@ -246,7 +266,9 @@ TEST(ObsCounters, SnapshotReportsCountersAndHistograms) {
   obs::counter("test.snapshot_counter").add(42);
   obs::histogram("test.snapshot_us").record(3.0);
 
-  const obs::MetricsSnapshot snap = obs::snapshot();
+  // The guard's reset zeroed the window baselines, so this window holds
+  // everything recorded since.
+  const obs::WindowSnapshot snap = obs::windowSnapshot();
   bool sawCounter = false, sawHist = false;
   for (const auto& [name, value] : snap.counters) {
     if (name == "test.snapshot_counter") {
@@ -263,9 +285,9 @@ TEST(ObsCounters, SnapshotReportsCountersAndHistograms) {
   EXPECT_TRUE(sawCounter);
   EXPECT_TRUE(sawHist);
 
-  // The JSON rendering of the same snapshot must parse back.
+  // The JSON rendering of the same window must parse back.
   JsonValue doc;
-  EXPECT_TRUE(JsonReader(obs::snapshotJson()).parse(doc));
+  EXPECT_TRUE(JsonReader(obs::windowJson(snap)).parse(doc));
   ASSERT_EQ(doc.kind, JsonValue::kObject);
   const JsonValue* counters = doc.find("counters");
   ASSERT_NE(counters, nullptr);
@@ -293,7 +315,7 @@ TEST(ObsGauges, SetAddAndSnapshotVisibility) {
   // A gauge legitimately set to 0 is reported; a never-touched one is not.
   obs::gauge("test.gauge_zero").set(0.0);
   obs::gauge("test.gauge_untouched");
-  const obs::MetricsSnapshot snap = obs::snapshot();
+  const obs::WindowSnapshot snap = obs::windowSnapshot();
   bool sawSet = false, sawZero = false, sawUntouched = false;
   for (const auto& [name, value] : snap.gauges) {
     if (name == "test.gauge") {
@@ -307,9 +329,9 @@ TEST(ObsGauges, SetAddAndSnapshotVisibility) {
   EXPECT_TRUE(sawZero);
   EXPECT_FALSE(sawUntouched);
 
-  // The JSON snapshot carries the same gauge object.
+  // The JSON window line carries the same gauge object.
   JsonValue doc;
-  ASSERT_TRUE(JsonReader(obs::snapshotJson()).parse(doc));
+  ASSERT_TRUE(JsonReader(obs::windowJson(snap)).parse(doc));
   const JsonValue* gauges = doc.find("gauges");
   ASSERT_NE(gauges, nullptr);
   ASSERT_NE(gauges->find("test.gauge"), nullptr);
@@ -384,7 +406,7 @@ TEST(ObsWindows, QuantilesUnderConcurrentWriters) {
   setThreadCount(1);
 
   const obs::WindowSnapshot w = obs::windowSnapshot();
-  const obs::WindowHistogramStats* stats = nullptr;
+  const obs::WindowHistogram* stats = nullptr;
   for (const auto& hist : w.histograms) {
     if (hist.name == "test.win_us") stats = &hist;
   }
@@ -416,25 +438,23 @@ TEST(ObsWindows, ResetRebaselinesInsteadOfNegativeDeltas) {
   obs::counter("test.win_reset").add(100);
   obs::windowSnapshot();  // baseline now 100
   obs::counter("test.win_reset").add(10);
-  obs::resetMetrics();  // value drops 110 -> 0 under the baseline
+  obs::resetMetrics();  // value drops 110 -> 0, and the baseline with it
   obs::counter("test.win_reset").add(2);
 
-  // The window spanning the reset reports no deltas -- flagged instead of
-  // emitting -108.
-  const obs::WindowSnapshot flagged = obs::windowSnapshot();
-  EXPECT_TRUE(flagged.baselineReset);
-  EXPECT_TRUE(flagged.counters.empty());
-  EXPECT_TRUE(flagged.histograms.empty());
+  auto deltaOf = [](const obs::WindowSnapshot& w) {
+    long delta = -1;
+    for (const auto& [n, v] : w.counters) {
+      if (n == "test.win_reset") delta = v;
+    }
+    return delta;
+  };
+  // The window spanning the reset reports exactly the post-reset
+  // activity -- not -108, and not the 10 the reset discarded.
+  EXPECT_EQ(deltaOf(obs::windowSnapshot()), 2);
 
-  // After rebaselining, windows are back to exact deltas.
+  // The next window is an ordinary delta.
   obs::counter("test.win_reset").add(4);
-  const obs::WindowSnapshot next = obs::windowSnapshot();
-  EXPECT_FALSE(next.baselineReset);
-  long delta = -1;
-  for (const auto& [n, v] : next.counters) {
-    if (n == "test.win_reset") delta = v;
-  }
-  EXPECT_EQ(delta, 4);
+  EXPECT_EQ(deltaOf(obs::windowSnapshot()), 4);
 }
 
 // --- Flight recorder ------------------------------------------------------
@@ -528,7 +548,6 @@ TEST(ObsExporter, PeriodicNdjsonStreamThroughEnv) {
   obs::configureFromEnv();
   EXPECT_TRUE(obs::metricsExporterRunning());
   EXPECT_EQ(obs::configuredMetricsPeriodMs(), 20);
-  obs::windowSnapshot();  // absorb the guard's reset epoch before counting
 
   obs::Counter& c = obs::counter("test.stream_counter");
   const auto deadline =
@@ -545,16 +564,8 @@ TEST(ObsExporter, PeriodicNdjsonStreamThroughEnv) {
 
   // At least two windows over ~90ms of 20ms periods (plus the final
   // flush), each line independently parseable with increasing seq.
-  const std::string text = readWholeFile(path);
+  const std::vector<std::string> lines = nonEmptyLines(readWholeFile(path));
   std::remove(path.c_str());
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    if (nl == std::string::npos) break;
-    if (nl > start) lines.push_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
   ASSERT_GE(lines.size(), 2u);
   double lastSeq = -1.0;
   long streamed = 0;
@@ -574,10 +585,10 @@ TEST(ObsExporter, PeriodicNdjsonStreamThroughEnv) {
       }
     }
   }
-  // Deltas over all windows sum to at most the cumulative count (exactly,
-  // unless a window raced the baseline absorption above).
+  // Deltas over all windows, the final flush included, sum to exactly the
+  // cumulative count.
   EXPECT_GT(streamed, 0);
-  EXPECT_LE(streamed, c.value());
+  EXPECT_EQ(streamed, c.value());
 }
 
 TEST(ObsExporter, PeriodWithoutPathStartsNothing) {
@@ -590,6 +601,91 @@ TEST(ObsExporter, PeriodWithoutPathStartsNothing) {
   EXPECT_FALSE(obs::metricsExporterRunning());
   ::unsetenv("PCNN_METRICS_PERIOD_MS");
   obs::configureFromEnv();
+}
+
+TEST(ObsExporter, ExitReportIsOneWindowLineWrittenOnce) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with PCNN_OBS=OFF";
+  ObsStateGuard guard;
+  const std::string path = testing::TempDir() + "obs_exit_once.ndjson";
+  std::remove(path.c_str());
+
+  ::setenv("PCNN_METRICS", path.c_str(), 1);
+  ::unsetenv("PCNN_METRICS_PERIOD_MS");
+  ::unsetenv("PCNN_OBS");
+  obs::configureFromEnv();
+  EXPECT_FALSE(obs::metricsExporterRunning());
+  obs::counter("test.exit_once").add(3);
+  obs::histogram("test.exit_once_us").record(5.0);
+
+  // Programs flush explicitly and the at-exit hook flushes again: the
+  // second call must not append a second line.
+  obs::writeConfiguredReports();
+  obs::writeConfiguredReports();
+  ::unsetenv("PCNN_METRICS");
+  obs::configureFromEnv();
+
+  const std::vector<std::string> lines = nonEmptyLines(readWholeFile(path));
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), 1u);
+  JsonValue doc;
+  ASSERT_TRUE(JsonReader(lines[0]).parse(doc)) << lines[0];
+  for (const char* key : {"seq", "window_start_us", "window_end_us"}) {
+    EXPECT_NE(doc.find(key), nullptr) << key;
+  }
+  const JsonValue* counters = doc.find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(counters->find("test.exit_once"), nullptr);
+  EXPECT_DOUBLE_EQ(counters->find("test.exit_once")->number, 3.0);
+  const JsonValue* histograms = doc.find("histograms");
+  ASSERT_NE(histograms, nullptr);
+  const JsonValue* hist = histograms->find("test.exit_once_us");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_DOUBLE_EQ(hist->find("count")->number, 1.0);
+  EXPECT_NE(hist->find("p50_us"), nullptr);
+}
+
+TEST(ObsExporter, RerunIntoAUsedPathKeepsOnlyTheNewRun) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with PCNN_OBS=OFF";
+  ObsStateGuard guard;
+  const std::string path = testing::TempDir() + "obs_rerun.ndjson";
+  {
+    // An earlier run's stream, left in place.
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"seq\": 1, \"counters\": {\"test.stale_run\": 1}}\n"
+               "{\"seq\": 2, \"counters\": {\"test.stale_run\": 1}}\n",
+               f);
+    std::fclose(f);
+  }
+
+  ::setenv("PCNN_METRICS", path.c_str(), 1);
+  ::setenv("PCNN_METRICS_PERIOD_MS", "5", 1);
+  ::unsetenv("PCNN_OBS");
+  obs::configureFromEnv();
+  obs::counter("test.rerun").add(7);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ::unsetenv("PCNN_METRICS");
+  ::unsetenv("PCNN_METRICS_PERIOD_MS");
+  obs::configureFromEnv();
+
+  const std::vector<std::string> lines = nonEmptyLines(readWholeFile(path));
+  std::remove(path.c_str());
+  ASSERT_GE(lines.size(), 1u);
+  double lastSeq = -1.0;
+  long rerun = 0;
+  for (const std::string& line : lines) {
+    JsonValue doc;
+    ASSERT_TRUE(JsonReader(line).parse(doc)) << line;
+    EXPECT_GT(doc.find("seq")->number, lastSeq);
+    lastSeq = doc.find("seq")->number;
+    const JsonValue* counters = doc.find("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_EQ(counters->find("test.stale_run"), nullptr) << line;
+    if (const JsonValue* delta = counters->find("test.rerun")) {
+      rerun += static_cast<long>(delta->number);
+    }
+  }
+  EXPECT_EQ(rerun, 7);
 }
 
 TEST(ObsExporter, ConcurrentResetNeverStreamsNegativeDeltas) {
@@ -607,7 +703,7 @@ TEST(ObsExporter, ConcurrentResetNeverStreamsNegativeDeltas) {
     obs::resetMetrics();  // races the exporter's windowSnapshot
   }
   // A quiet tail with no resets: these windows must emit normally (every
-  // window spanning a reset above was legitimately skipped).
+  // window spanning a reset above reports only post-reset deltas).
   for (int i = 0; i < 500; ++i) c.add();
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   obs::stopMetricsExporter();
@@ -631,63 +727,6 @@ TEST(ObsExporter, ConcurrentResetNeverStreamsNegativeDeltas) {
     }
   }
   EXPECT_GE(parsed, 1u);
-}
-
-// --- Prometheus exposition ------------------------------------------------
-
-TEST(ObsProm, ExpositionTextDeclaresEachMetricOnce) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with PCNN_OBS=OFF";
-  ObsStateGuard guard;
-  obs::setMetricsEnabled(true);
-
-  obs::counter("test.prom_counter").add(4);
-  obs::gauge("test.prom_gauge").set(1.5);
-  obs::histogram("test.prom_us").record(3.0);
-  const std::string text = obs::expositionText();
-
-  auto countOf = [&](const std::string& needle) {
-    std::size_t n = 0, pos = 0;
-    while ((pos = text.find(needle, pos)) != std::string::npos) {
-      ++n;
-      pos += needle.size();
-    }
-    return n;
-  };
-  // Names are prefixed and sanitized; one TYPE declaration per metric.
-  EXPECT_EQ(countOf("# TYPE pcnn_test_prom_counter counter"), 1u);
-  EXPECT_EQ(countOf("# TYPE pcnn_test_prom_gauge gauge"), 1u);
-  EXPECT_EQ(countOf("# TYPE pcnn_test_prom_us histogram"), 1u);
-  EXPECT_EQ(countOf("pcnn_test_prom_counter 4"), 1u);
-  EXPECT_EQ(countOf("pcnn_test_prom_gauge 1.5"), 1u);
-  // Histogram series: cumulative buckets ending at +Inf, plus sum/count.
-  EXPECT_GE(countOf("pcnn_test_prom_us_bucket{le=\""), 2u);
-  EXPECT_EQ(countOf("pcnn_test_prom_us_bucket{le=\"+Inf\"} 1"), 1u);
-  EXPECT_EQ(countOf("pcnn_test_prom_us_count 1"), 1u);
-  EXPECT_EQ(countOf("pcnn_test_prom_us_sum"), 1u);
-
-  // Every TYPE'd metric name is known, and every sample line belongs to a
-  // declared metric.
-  std::vector<std::string> declared;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    const std::size_t nl = text.find('\n', start);
-    const std::string line = text.substr(
-        start, nl == std::string::npos ? std::string::npos : nl - start);
-    start = nl == std::string::npos ? text.size() : nl + 1;
-    if (line.empty()) continue;
-    if (line.rfind("# TYPE ", 0) == 0) {
-      const std::size_t sp = line.find(' ', 7);
-      ASSERT_NE(sp, std::string::npos) << line;
-      declared.push_back(line.substr(7, sp - 7));
-      continue;
-    }
-    ASSERT_NE(line[0], '#') << "unexpected comment: " << line;
-    bool known = false;
-    for (const std::string& name : declared) {
-      if (line.rfind(name, 0) == 0) known = true;
-    }
-    EXPECT_TRUE(known) << "sample without TYPE declaration: " << line;
-  }
 }
 
 // --- Trace spans ----------------------------------------------------------
@@ -785,12 +824,15 @@ TEST(ObsDisabled, RecordsNothingAndSnapshotIsEmpty) {
     PCNN_SPAN("test.disabled_span");
   }
 
-  EXPECT_TRUE(obs::snapshot().empty());
+  const obs::WindowSnapshot w = obs::windowSnapshot();
+  EXPECT_TRUE(w.counters.empty());
+  EXPECT_TRUE(w.gauges.empty());
+  EXPECT_TRUE(w.histograms.empty());
   EXPECT_EQ(obs::traceEventCount(), 0);
 
   // The empty exports are still valid JSON documents.
   JsonValue metrics;
-  EXPECT_TRUE(JsonReader(obs::snapshotJson()).parse(metrics));
+  EXPECT_TRUE(JsonReader(obs::windowJson(w)).parse(metrics));
   JsonValue trace;
   ASSERT_TRUE(JsonReader(obs::traceJson()).parse(trace));
   const JsonValue* events = trace.find("traceEvents");

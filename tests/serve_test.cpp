@@ -513,6 +513,18 @@ TEST(ServiceParams, EnvOverridesQueueAndDeadline) {
   EXPECT_EQ(service.params().deadlineMs, 250.0);
 }
 
+TEST(ServiceParams, UnsetEnvKeepsTheCallersValuesExactly) {
+  ::unsetenv("PCNN_SERVE_QUEUE");
+  ::unsetenv("PCNN_SERVE_DEADLINE_MS");
+  auto detector = makeDetector(/*temporal=*/false, /*maxLevels=*/1);
+  ServiceParams params;  // readEnv defaults to true
+  params.deadlineMs = 0.5;  // sub-millisecond: must not round to "off"
+  params.queueCapacity = (std::size_t{1} << 32) + 5;  // wider than int
+  DetectionService service(params, detector);
+  EXPECT_EQ(service.params().deadlineMs, 0.5);
+  EXPECT_EQ(service.params().queueCapacity, (std::size_t{1} << 32) + 5);
+}
+
 TEST(Provenance, RecordsServeEnvVars) {
   ScopedEnv queueEnv("PCNN_SERVE_QUEUE", "17");
   ScopedEnv deadlineEnv("PCNN_SERVE_DEADLINE_MS", "33");
