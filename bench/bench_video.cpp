@@ -3,10 +3,11 @@
 // GridDetector::detectBatch twice per backend --
 //   (a) temporal.enabled = false: every frame runs cold, paying the full
 //       scan detect() runs, the bitwise reference;
-//   (b) the temporal path: persistent per-level grids, dirty-tile
-//       recomputation, cached window scores.
+//   (b) the temporal path: persistent per-level grids, recomputation of
+//       the cells whose pixels changed, cached window scores.
 // Reports per-backend fps for both against the paper's full-HD 26 fps bar
-// (Table 2), the dirty-tile hit rate, and the reuse speedup; writes
+// (Table 2), the tile hit rate, the cells recomputed per warm frame, and
+// the reuse speedup; writes
 // BENCH_video.json. Each burst runs kRepeats times on a fresh detector;
 // the times are the median, with the min..max range beside it.
 //
@@ -59,6 +60,7 @@ struct RunResult {
   long tilesRecomputed = 0;
   long windowsRescored = 0;
   long windowsReused = 0;
+  double cellsPerWarmFrame = 0.0;  ///< FrameStats::cellsRecomputed mean
 };
 
 /// Runs the burst kRepeats times through `backend`, each on a fresh
@@ -90,12 +92,20 @@ RunResult runBurst(const std::string& backend,
   // most recent burst's throughput.
   static obs::Gauge& fpsGauge = obs::gauge("video.fps");
   fpsGauge.set(r.fps);
+  long warmFrames = 0;
+  long warmCells = 0;
   for (const core::FrameResult& frame : batch.frames) {
     r.tilesReused += frame.stats.tilesReused;
     r.tilesRecomputed += frame.stats.tilesRecomputed;
     r.windowsRescored += frame.stats.windowsRescored;
     r.windowsReused += frame.stats.windowsReused;
+    if (!frame.stats.fullRecompute) {
+      ++warmFrames;
+      warmCells += frame.stats.cellsRecomputed;
+    }
   }
+  r.cellsPerWarmFrame =
+      warmFrames > 0 ? static_cast<double>(warmCells) / warmFrames : 0.0;
   return r;
 }
 
@@ -145,10 +155,12 @@ int main(int argc, char** argv) {
         tiles > 0 ? static_cast<double>(temporal[i].tilesReused) / tiles : 0.0;
     std::printf(
         "  %-12s off: %8.1f ms (%6.2f fps)   temporal: %8.1f ms "
-        "(%6.2f fps, %.2fx, tile hit rate %.3f)\n",
+        "(%6.2f fps, %.2fx, tile hit rate %.3f, %.0f cells per warm "
+        "frame)\n",
         backends[i].c_str(), off[i].ms, off[i].fps, temporal[i].ms,
         temporal[i].fps,
-        temporal[i].ms > 0.0 ? off[i].ms / temporal[i].ms : 0.0, hitRate);
+        temporal[i].ms > 0.0 ? off[i].ms / temporal[i].ms : 0.0, hitRate,
+        temporal[i].cellsPerWarmFrame);
   }
 
   std::FILE* out = std::fopen(outPath.c_str(), "w");
@@ -180,14 +192,15 @@ int main(int argc, char** argv) {
         "\"temporal_fps\": %.3f, "
         "\"reuse_speedup\": %.2f, \"tile_hit_rate\": %.4f, "
         "\"tiles_reused\": %ld, \"tiles_recomputed\": %ld, "
-        "\"windows_rescored\": %ld, \"windows_reused\": %ld}%s\n",
+        "\"windows_rescored\": %ld, \"windows_reused\": %ld, "
+        "\"cells_recomputed_per_warm_frame\": %.1f}%s\n",
         backends[i].c_str(), off[i].ms, off[i].msMin, off[i].msMax,
         off[i].fps, temporal[i].ms, temporal[i].msMin, temporal[i].msMax,
         temporal[i].fps,
         temporal[i].ms > 0.0 ? off[i].ms / temporal[i].ms : 0.0, hitRate,
         temporal[i].tilesReused, temporal[i].tilesRecomputed,
         temporal[i].windowsRescored, temporal[i].windowsReused,
-        i + 1 < backends.size() ? "," : "");
+        temporal[i].cellsPerWarmFrame, i + 1 < backends.size() ? "," : "");
   }
   std::fprintf(out, "  }\n}\n");
   std::fclose(out);

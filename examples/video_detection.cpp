@@ -2,7 +2,7 @@
 // burst (vision::SyntheticVideo), trains nothing -- a fixed linear scorer
 // stands in for the classifier -- and runs GridDetector::detectBatch with
 // temporal reuse on, printing per-frame detections next to the ground
-// truth and what the dirty-tile cache saved.
+// truth and what the temporal cache saved.
 //
 // Usage: video_detection [frames] [width] [height] [persons]
 #include <cstdio>
@@ -61,9 +61,11 @@ int main(int argc, char** argv) {
     const long tiles = frame.stats.tilesReused + frame.stats.tilesRecomputed;
     std::printf(
         "frame %2zu: %2zu detections, %zu persons visible, "
-        "tiles %ld/%ld reused, windows %ld rescored%s\n",
+        "tiles %ld/%ld reused, cells %ld recomputed, windows %ld "
+        "rescored%s\n",
         f, frame.detections.size(), scene.groundTruth.size(),
-        frame.stats.tilesReused, tiles, frame.stats.windowsRescored,
+        frame.stats.tilesReused, tiles, frame.stats.cellsRecomputed,
+        frame.stats.windowsRescored,
         frame.stats.fullRecompute ? " (full recompute)" : "");
     for (const vision::Detection& det : frame.detections) {
       std::printf("    box (%6.1f, %6.1f) %5.1fx%5.1f  score %.2f\n",

@@ -21,7 +21,7 @@ using WindowScorer = std::function<float(const std::vector<float>&)>;
 /// Cross-frame reuse knobs for GridDetector::detectBatch.
 struct TemporalParams {
   /// Keep per-level cell/block/score grids alive across frames and only
-  /// recompute the tiles whose pixels changed. Off: every frame runs cold
+  /// recompute the cells whose pixels changed. Off: every frame runs cold
   /// on a fresh level cache -- exactly what detect() runs per scene.
   bool enabled = true;
   /// EMA box smoothing across the burst (TemporalSmoother; only with
@@ -70,13 +70,19 @@ struct BatchOptions {
   std::vector<double> deadlineUs;
 };
 
-/// What one frame cost, at tile and window granularity. Tiles are 4x4-cell
-/// squares of each pyramid level's cell grid; a frame that could not reuse
-/// anything (cold cache, temporal.enabled = false, a level invalidated by
-/// an extraction failure) reports fullRecompute.
+/// What one frame cost, at cell, tile and window granularity. Tiles are
+/// 4x4-cell squares of each pyramid level's cell grid; a tile is
+/// recomputed when it holds a recomputed cell. A frame that could not
+/// reuse anything (cold cache, temporal.enabled = false, a level
+/// invalidated by an extraction failure) reports fullRecompute.
 struct FrameStats {
   long tilesReused = 0;
   long tilesRecomputed = 0;
+  /// Cells whose histograms were recomputed: every cell of a level
+  /// computed in full; on a warm level the cells whose support -- their
+  /// pixels plus the 1-px border the gradient reads -- holds a level pixel
+  /// that changed bitwise. Context cells of the refresh crops not counted.
+  long cellsRecomputed = 0;
   /// Windows scored: all of them on a cold level; on a warm one the
   /// windows whose cell footprint holds a cell whose histogram bits
   /// changed, plus windows retried after their scoring threw.
@@ -153,12 +159,15 @@ class GridDetector {
   /// With params.temporal.enabled, per-level cell grids, block grids, and
   /// window scores persist across frames -- and across detectBatch calls,
   /// until resetTemporalCache() or a frame of different dimensions
-  /// arrives. Only tiles whose pixels changed since the previous frame
-  /// recompute their cell histograms, affected block normalizations, and
-  /// window scores ("detect.tiles_reused" / "detect.tiles_recomputed"
-  /// counters); whole-frame recompute remains the always-available
-  /// fallback (a level whose incremental update fails is invalidated,
-  /// degrades the frame, and is rebuilt from scratch on the next one). The
+  /// arrives. Only the cells whose support (their pixels plus a 1-px
+  /// border) changed since the previous frame recompute their histograms,
+  /// and only the blocks and windows over cells whose bits changed are
+  /// re-normalized and rescored ("detect.cells_recomputed",
+  /// "detect.tiles_reused" / "detect.tiles_recomputed" and
+  /// "detect.windows_rescored" counters); whole-frame recompute remains
+  /// the always-available fallback (a level whose incremental update
+  /// fails is invalidated, degrades the frame, and is rebuilt from
+  /// scratch on the next one). The
   /// reused scan is bitwise-identical to per-frame detect() for every
   /// backend, the spike-coded Parrot included (DESIGN.md Section 5g).
   ///

@@ -3,12 +3,14 @@
 // date with a frame and emits its pre-NMS detections. detectRaw() (and so
 // detect()) runs one cold frame on a throwaway cache, computing every level
 // in full. detectBatch() runs a burst on the detector-owned cache: each
-// warm frame diffs against the previous one at tile granularity, only the
-// dirty tiles recompute their cell histograms, and what changed then
-// propagates at cell granularity: only the blocks reading a cell whose
-// histogram bits changed are re-normalized, and only the windows whose
-// cell footprint holds such a cell are rescored. With temporal reuse off,
-// every batch frame runs cold exactly like detect().
+// warm frame diffs against the previous one at tile granularity, and the
+// dirty tiles choose the level pixels to refresh. The refresh compares the
+// new pixels with the cached ones bitwise, and only the cells whose
+// support holds a changed pixel recompute their histograms. What changed
+// then propagates at cell granularity: only the blocks reading a cell
+// whose histogram bits changed are re-normalized, and only the windows
+// whose cell footprint holds such a cell are rescored. With temporal reuse
+// off, every batch frame runs cold exactly like detect().
 //
 // Why the reused scan matches a cold scan bitwise (deterministic
 // backends; see DESIGN.md Section 5g for the full argument):
@@ -16,11 +18,14 @@
 //    arithmetic of resizeBilinear (and of buildPyramid's levels), and
 //    pixels outside every refreshed rect were computed from unchanged
 //    source pixels; the refresh runs under detect.resize;
-//  - cell histograms depend only on the cell's pixels plus a 1-px
-//    gradient border, and tryUpdateCellGrid recomputes with one cell of
-//    context (extended to the image border at grid edges, where clamping
-//    then behaves identically), so the grid equals a cold one; it flags
-//    the cells whose bits differ from the cached ones;
+//  - a cell's histogram depends only on its support: its pixels plus the
+//    1-px border the gradient reads. The refresh flags every cell whose
+//    support holds a pixel that differs bitwise from the cached level, so
+//    every other cell sees exactly the pixels it was computed from;
+//  - tryUpdateCellGrid recomputes the flagged cells from crops with one
+//    cell of context (extended to the image border at grid edges, where
+//    clamping then behaves identically), so the grid equals a cold one; it
+//    flags the cells whose bits differ from the cached ones;
 //  - each 2x2 block is a pure function of its four cells; updateBlocks
 //    re-normalizes every block reading a changed cell, so the others
 //    already hold the cold bits;
@@ -60,6 +65,7 @@ struct ScanMetrics {
   obs::Counter& gridCacheHits = obs::counter("grid_cache_hits");
   obs::Counter& tilesReused = obs::counter("detect.tiles_reused");
   obs::Counter& tilesRecomputed = obs::counter("detect.tiles_recomputed");
+  obs::Counter& cellsRecomputed = obs::counter("detect.cells_recomputed");
   obs::Counter& windowsRescored = obs::counter("detect.windows_rescored");
   obs::Counter& windowsReused = obs::counter("detect.windows_reused");
   obs::Counter& levelsDegraded = obs::counter("detect.level.degraded");
@@ -114,7 +120,9 @@ struct GridDetector::TemporalCache {
     bool valid = false;      ///< false -> full recompute next frame
   };
 
-  vision::Image scene;       ///< the previous frame, for tile diffing
+  /// The previous frame, for tile diffing; detectBatch moves each frame
+  /// in after its scan.
+  vision::Image scene;
   std::vector<Level> levels;
   bool valid = false;        ///< pyramid geometry initialized and current
   TemporalSmoother smoother;
@@ -293,6 +301,99 @@ PxRect mapRectToLevel(const PxRect& r, const vision::Image& scene,
   return out;
 }
 
+/// Flags in `dirty` (cellsY x cellsX, row-major) every cell whose support
+/// holds a pixel of level row y, columns [x0, x1), that differs bitwise
+/// between `before` and `after` (both pointing at column x0). A cell's
+/// support is its pixels plus the 1-px border the gradient stencil reads:
+/// columns cx * cell - 1 .. cx * cell + cell, rows alike. The row segment
+/// is compared whole first; only a row that differs is compared again one
+/// cell's support segment at a time, skipping cells already flagged.
+/// Returns whether the row segment differs.
+bool flagChangedSupport(const float* before, const float* after, int y,
+                        int x0, int x1, int cell, int cellsX, int cellsY,
+                        std::vector<std::uint8_t>& dirty) {
+  if (std::memcmp(before, after,
+                  sizeof(float) * static_cast<std::size_t>(x1 - x0)) == 0) {
+    return false;
+  }
+  const int cy0 = y > 0 ? (y - 1) / cell : 0;
+  const int cy1 = std::min(cellsY, (y + 1) / cell + 1);
+  const int cx0 = x0 > 0 ? (x0 - 1) / cell : 0;
+  const int cx1 = std::min(cellsX, x1 / cell + 1);
+  for (int cx = cx0; cx < cx1; ++cx) {
+    bool flagged = true;
+    for (int cy = cy0; cy < cy1 && flagged; ++cy) {
+      flagged = dirty[static_cast<std::size_t>(cy) * cellsX + cx] != 0;
+    }
+    if (flagged) continue;
+    const int s0 = std::max(x0, cx * cell - 1);
+    const int s1 = std::min(x1, cx * cell + cell + 1);
+    if (std::memcmp(before + (s0 - x0), after + (s0 - x0),
+                    sizeof(float) * static_cast<std::size_t>(s1 - s0)) == 0) {
+      continue;
+    }
+    for (int cy = cy0; cy < cy1; ++cy) {
+      dirty[static_cast<std::size_t>(cy) * cellsX + cx] = 1;
+    }
+  }
+  return true;
+}
+
+/// Turns the dirty-cell mask into rects: the maximal runs of each cell
+/// row, with a run that spans the same columns as one in the row above
+/// stacked onto it. Linear in the mask.
+std::vector<extract::CellRect> dirtyCellRects(
+    const std::vector<std::uint8_t>& dirty, int cellsX, int cellsY) {
+  std::vector<extract::CellRect> rects;
+  std::vector<extract::CellRect> open;  // reaching the previous row, by cx0
+  std::vector<extract::CellRect> next;
+  for (int cy = 0; cy < cellsY; ++cy) {
+    const std::uint8_t* row =
+        dirty.data() + static_cast<std::size_t>(cy) * cellsX;
+    next.clear();
+    std::size_t k = 0;
+    for (int cx = 0;;) {
+      while (cx < cellsX && !row[cx]) ++cx;
+      if (cx == cellsX) break;
+      int end = cx;
+      while (end < cellsX && row[end]) ++end;
+      while (k < open.size() && open[k].cx0 < cx) rects.push_back(open[k++]);
+      if (k < open.size() && open[k].cx0 == cx && open[k].cx1 == end) {
+        next.push_back(open[k++]);
+        next.back().cy1 = cy + 1;
+      } else {
+        next.push_back({cx, cy, end, cy + 1});
+      }
+      cx = end;
+    }
+    rects.insert(rects.end(), open.begin() + static_cast<long>(k),
+                 open.end());
+    std::swap(open, next);
+  }
+  rects.insert(rects.end(), open.begin(), open.end());
+  return rects;
+}
+
+/// Number of kTileCells x kTileCells tiles holding a cell of `rects`.
+long tilesHolding(const std::vector<extract::CellRect>& rects,
+                  int tilesAcross, int tilesDown) {
+  std::vector<std::uint8_t> tiles(
+      static_cast<std::size_t>(tilesAcross) * tilesDown, 0);
+  long count = 0;
+  for (const extract::CellRect& r : rects) {
+    for (int ty = r.cy0 / kTileCells; ty <= (r.cy1 - 1) / kTileCells; ++ty) {
+      for (int tx = r.cx0 / kTileCells; tx <= (r.cx1 - 1) / kTileCells;
+           ++tx) {
+        std::uint8_t& tile =
+            tiles[static_cast<std::size_t>(ty) * tilesAcross + tx];
+        count += tile == 0;
+        tile = 1;
+      }
+    }
+  }
+  return count;
+}
+
 }  // namespace
 
 
@@ -335,7 +436,7 @@ BatchDetectResult GridDetector::detectBatch(
   }
   if (temporalOn && !temporal_) temporal_.reset(new TemporalCache);
   for (int f = 0; f < numFrames; ++f) {
-    const vision::Image frame = frames(f);
+    vision::Image frame = frames(f);
     PCNN_SPAN_ARG("detect.frame", "frame", f);
     metrics.frames.add();
     const bool measure = obs::metricsEnabled();
@@ -352,6 +453,8 @@ BatchDetectResult GridDetector::detectBatch(
     FrameResult fr;
     std::vector<vision::Detection> raw = scanFrame(
         frame, cache, threshold, options.detect, deadlineUs, fr.stats, report);
+    // The next frame diffs against this one; a cold cache keeps nothing.
+    if (temporalOn) cache.scene = std::move(frame);
     {
       PCNN_SPAN_ARG("detect.nms", "candidates", raw.size());
       fr.detections =
@@ -392,6 +495,9 @@ std::vector<vision::Detection> GridDetector::scanFrame(
   // pyramid geometry; every level then takes the full-compute branch.
   const bool cold = !cache.valid || cache.scene.width() != frame.width() ||
                     cache.scene.height() != frame.height();
+  // Valid again only once the scan completes: a scan that throws leaves
+  // levels half refreshed, and the next frame must then start cold.
+  cache.valid = false;
   if (cold) {
     cache.levels.clear();
     vision::PyramidParams pp = params_.pyramid;
@@ -491,6 +597,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
     // update `changed` flags the cells whose histogram bits changed.
     const bool fullCompute = !lc.valid;
     long dirtyTileCount = levelTiles;
+    long levelCells = fullCompute ? static_cast<long>(cellsX) * cellsY : 0;
     std::vector<std::uint8_t> changed;
     if (fullCompute) {
       // Full compute: cold cache, or the level was invalidated by a
@@ -540,79 +647,58 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       lc.valid = true;
     } else {
       // Incremental: refresh the level's pixels under the dirty scene
-      // rects, mark the tiles whose cells they touch, and recompute only
-      // those.
-      std::vector<std::uint8_t> dirtyTiles(
-          static_cast<std::size_t>(tilesAcross) * tilesDown, 0);
+      // rects, comparing each refreshed pixel with the cached one, and
+      // recompute exactly the cells whose support holds a changed pixel.
+      std::vector<std::uint8_t> dirtyCells(
+          static_cast<std::size_t>(cellsX) * cellsY, 0);
       if (!sceneDirty.empty()) {
         PCNN_SPAN_ARG("detect.resize", "level", levelIndex);
         long refreshedPx = 0;
+        std::vector<float> cached;  // a rect's pixels before the refresh
         for (const PxRect& sceneRect : sceneDirty) {
           PxRect r;
           if (levelIndex == 0) {
-            // Level 0 is a verbatim copy of the scene: splice the rows.
+            // Level 0 is a verbatim copy of the scene: diff and splice the
+            // rows.
             r = sceneRect;
             const float* src = frame.data().data();
             for (int y = r.y0; y < r.y1; ++y) {
-              std::memcpy(
-                  &lc.image.at(r.x0, y),
-                  src + static_cast<std::size_t>(y) * frame.width() + r.x0,
-                  sizeof(float) * static_cast<std::size_t>(r.x1 - r.x0));
+              float* dst = &lc.image.at(r.x0, y);
+              const float* row =
+                  src + static_cast<std::size_t>(y) * frame.width() + r.x0;
+              if (flagChangedSupport(dst, row, y, r.x0, r.x1, cell, cellsX,
+                                     cellsY, dirtyCells)) {
+                std::memcpy(dst, row,
+                            sizeof(float) *
+                                static_cast<std::size_t>(r.x1 - r.x0));
+              }
             }
           } else {
             r = mapRectToLevel(sceneRect, frame, lc.image);
             if (r.x0 >= r.x1 || r.y0 >= r.y1) continue;
+            const std::size_t rw = static_cast<std::size_t>(r.x1 - r.x0);
+            cached.resize(rw * static_cast<std::size_t>(r.y1 - r.y0));
+            for (int y = r.y0; y < r.y1; ++y) {
+              std::memcpy(cached.data() + (y - r.y0) * rw,
+                          &lc.image.at(r.x0, y), sizeof(float) * rw);
+            }
             vision::resizeBilinearInto(frame, lc.image, r.x0, r.y0, r.x1,
                                        r.y1);
-          }
-          refreshedPx += static_cast<long>(r.x1 - r.x0) * (r.y1 - r.y0);
-          // The gradient stencil reads 1 px around a cell, so a changed
-          // pixel dirties every cell within 1 px -- then tiles containing
-          // them.
-          const int cx0 = (r.x0 > 0 ? r.x0 - 1 : 0) / cell;
-          const int cy0 = (r.y0 > 0 ? r.y0 - 1 : 0) / cell;
-          const int cx1 = std::min(cellsX, ceilDiv(r.x1 + 1, cell));
-          const int cy1 = std::min(cellsY, ceilDiv(r.y1 + 1, cell));
-          if (cx0 >= cx1 || cy0 >= cy1) continue;
-          for (int ty = cy0 / kTileCells; ty < ceilDiv(cy1, kTileCells);
-               ++ty) {
-            for (int tx = cx0 / kTileCells; tx < ceilDiv(cx1, kTileCells);
-                 ++tx) {
-              dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx] =
-                  1;
+            for (int y = r.y0; y < r.y1; ++y) {
+              flagChangedSupport(cached.data() + (y - r.y0) * rw,
+                                 &lc.image.at(r.x0, y), y, r.x0, r.x1, cell,
+                                 cellsX, cellsY, dirtyCells);
             }
           }
+          refreshedPx += static_cast<long>(r.x1 - r.x0) * (r.y1 - r.y0);
         }
         metrics.resizePx.add(refreshedPx);
       }
 
-      // Merge dirty tiles into per-row cell rects and refresh cells/blocks.
-      std::vector<extract::CellRect> cellRects;
-      dirtyTileCount = 0;
-      for (int ty = 0; ty < tilesDown; ++ty) {
-        int tx = 0;
-        while (tx < tilesAcross) {
-          if (!dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross + tx]) {
-            ++tx;
-            continue;
-          }
-          int end = tx;
-          while (end < tilesAcross &&
-                 dirtyTiles[static_cast<std::size_t>(ty) * tilesAcross +
-                            end]) {
-            ++end;
-          }
-          dirtyTileCount += end - tx;
-          extract::CellRect rect;
-          rect.cx0 = tx * kTileCells;
-          rect.cx1 = std::min(cellsX, end * kTileCells);
-          rect.cy0 = ty * kTileCells;
-          rect.cy1 = std::min(cellsY, (ty + 1) * kTileCells);
-          cellRects.push_back(rect);
-          tx = end;
-        }
-      }
-      if (dirtyTileCount > 0) {
+      const std::vector<extract::CellRect> cellRects =
+          dirtyCellRects(dirtyCells, cellsX, cellsY);
+      dirtyTileCount = tilesHolding(cellRects, tilesAcross, tilesDown);
+      if (!cellRects.empty()) {
         {
           PCNN_SPAN("detect.cellGrid");
           obs::ScopedTimer timer(cellGridUs());
@@ -622,6 +708,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
             skipLevel(updated.status());
             continue;
           }
+          levelCells = updated.value();
         }
         if (blockPath) {
           PCNN_SPAN("detect.blockGrid");
@@ -691,10 +778,12 @@ std::vector<vision::Detection> GridDetector::scanFrame(
     }
     stats.tilesRecomputed += dirtyTileCount;
     stats.tilesReused += levelTiles - dirtyTileCount;
+    stats.cellsRecomputed += levelCells;
     stats.windowsRescored += rescored;
     stats.windowsReused += levelWindows - rescored;
     metrics.tilesRecomputed.add(dirtyTileCount);
     metrics.tilesReused.add(levelTiles - dirtyTileCount);
+    metrics.cellsRecomputed.add(levelCells);
     metrics.windowsRescored.add(rescored);
     metrics.windowsReused.add(levelWindows - rescored);
     metrics.windowsScanned.add(rescored);
@@ -702,7 +791,6 @@ std::vector<vision::Detection> GridDetector::scanFrame(
     emitLevelDetections(lc, params_, threshold, detections);
   }
 
-  cache.scene = frame;
   cache.valid = true;
   if (report != nullptr) {
     report->faults = tn::globalFaultCounts() - faultsBefore;

@@ -62,6 +62,79 @@ hog::BlockGrid blockGridShape(const hog::CellGrid& grid) {
   return blocks;
 }
 
+/// Cells in a cell rectangle.
+long cellArea(const CellRect& r) {
+  return static_cast<long>(r.cx1 - r.cx0) * (r.cy1 - r.cy0);
+}
+
+/// One refresh crop of tryUpdateCellGrid: its cell box (the targets plus
+/// one cell of context, clipped to the grid) and the target rects it
+/// splices back.
+struct CellCrop {
+  CellRect box;
+  std::vector<CellRect> targets;
+};
+
+/// Merges crops pairwise: two crops become their bounding crop whenever
+/// that costs no more cells than the two apart, so a level whose dirty
+/// cells cover almost everything ends as one whole-level crop while
+/// far-apart edits keep crops of their own. Only crops that overlap or
+/// share an edge can pass the test -- a gap between them adds cells that
+/// neither pays for -- so each pass sweeps the crops top to bottom and
+/// compares a crop only with the crops still open across its top row.
+/// A merged crop may grow upward past a crop the sweep already closed,
+/// so passes repeat until one merges nothing; on edits that come as
+/// blobs the second pass is the last.
+void mergeCrops(std::vector<CellCrop>& crops) {
+  auto bounding = [](const CellRect& a, const CellRect& b) {
+    return CellRect{std::min(a.cx0, b.cx0), std::min(a.cy0, b.cy0),
+                    std::max(a.cx1, b.cx1), std::max(a.cy1, b.cy1)};
+  };
+  for (bool mergedAny = crops.size() > 1; mergedAny;) {
+    mergedAny = false;
+    std::sort(crops.begin(), crops.end(),
+              [](const CellCrop& a, const CellCrop& b) {
+                return a.box.cy0 != b.box.cy0 ? a.box.cy0 < b.box.cy0
+                                              : a.box.cx0 < b.box.cx0;
+              });
+    std::vector<CellCrop> closed;
+    std::vector<CellCrop> open;
+    auto take = [&open](std::size_t k) {
+      CellCrop crop = std::move(open[k]);
+      open[k] = std::move(open.back());
+      open.pop_back();
+      return crop;
+    };
+    for (CellCrop& crop : crops) {
+      // Later crops start no higher than this one, so a crop ending above
+      // its top row can touch none of them.
+      for (std::size_t k = 0; k < open.size();) {
+        if (open[k].box.cy1 < crop.box.cy0) {
+          closed.push_back(take(k));
+        } else {
+          ++k;
+        }
+      }
+      for (std::size_t k = 0; k < open.size();) {
+        const CellRect both = bounding(open[k].box, crop.box);
+        if (cellArea(both) > cellArea(open[k].box) + cellArea(crop.box)) {
+          ++k;
+          continue;
+        }
+        CellCrop other = take(k);
+        crop.box = both;
+        crop.targets.insert(crop.targets.end(), other.targets.begin(),
+                            other.targets.end());
+        mergedAny = true;
+        k = 0;  // the grown crop may now absorb an open crop it passed
+      }
+      open.push_back(std::move(crop));
+    }
+    for (CellCrop& crop : open) closed.push_back(std::move(crop));
+    crops = std::move(closed);
+  }
+}
+
 }  // namespace
 
 const char* layoutName(FeatureLayout layout) {
@@ -288,29 +361,17 @@ StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
     return CellRect{std::max(0, r.cx0 - 1), std::max(0, r.cy0 - 1),
                     std::min(cellsX, r.cx1 + 1), std::min(cellsY, r.cy1 + 1)};
   };
-  auto area = [](const CellRect& r) {
-    return static_cast<long>(r.cx1 - r.cx0) * (r.cy1 - r.cy0);
-  };
-  std::vector<CellRect> targets;
-  CellRect bounds{cellsX, cellsY, 0, 0};
-  long separateCells = 0;
+  std::vector<CellCrop> crops;
   for (const CellRect& rect : dirty) {
     const CellRect t{std::max(0, rect.cx0), std::max(0, rect.cy0),
                      std::min(cellsX, rect.cx1), std::min(cellsY, rect.cy1)};
     if (t.cx0 >= t.cx1 || t.cy0 >= t.cy1) continue;
-    targets.push_back(t);
-    separateCells += area(withContext(t));
-    bounds = {std::min(bounds.cx0, t.cx0), std::min(bounds.cy0, t.cy0),
-              std::max(bounds.cx1, t.cx1), std::max(bounds.cy1, t.cy1)};
+    crops.push_back({withContext(t), {t}});
   }
-  // One crop per target, or a single crop around all of them when that
-  // costs no more cells: every target still sits one cell inside it.
-  const bool merged = targets.size() > 1 &&
-                      area(withContext(bounds)) <= separateCells;
-  const std::size_t crops = merged ? 1 : targets.size();
+  mergeCrops(crops);
   long recomputed = 0;
-  for (std::size_t k = 0; k < crops; ++k) {
-    const CellRect crop = withContext(merged ? bounds : targets[k]);
+  for (const CellCrop& cellCrop : crops) {
+    const CellRect& crop = cellCrop.box;
     const int px0 = crop.cx0 * cellSize_;
     const int py0 = crop.cy0 * cellSize_;
     // Extending the crop to the image border when it reaches the last
@@ -332,9 +393,7 @@ StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
       // Splice only the cells whose bits differ, flagging each one.
       const std::size_t cellBytes =
           sizeof(float) * static_cast<std::size_t>(bins_);
-      const std::size_t last = merged ? targets.size() : k + 1;
-      for (std::size_t i = merged ? 0 : k; i < last; ++i) {
-        const CellRect& t = targets[i];
+      for (const CellRect& t : cellCrop.targets) {
         for (int cy = t.cy0; cy < t.cy1; ++cy) {
           float* dst = grid.cell(t.cx0, cy);
           const float* src = sub.cell(t.cx0 - crop.cx0, cy - crop.cy0);
@@ -346,7 +405,7 @@ StatusOr<long> FeatureExtractor::tryUpdateCellGrid(
             flags[cx] = 1;
           }
         }
-        recomputed += area(t);
+        recomputed += cellArea(t);
       }
     } catch (...) {
       extractFailures().add();

@@ -113,26 +113,26 @@ class FeatureExtractor {
   /// `image` -- the temporal-reuse path: a persistent per-level grid stays
   /// valid across frames and only the cells whose pixels changed are
   /// recomputed. Each rect is expanded by one cell of pixel context (the
-  /// gradient stencil reads 1 px beyond the cell), the expanded region is
-  /// cropped and run through the backend's own (virtual) cellGrid, and
-  /// the interior target cells are spliced back. When the rects' bounding
-  /// box plus its context costs no more cells than the separate crops,
-  /// one crop around all of them is computed instead and every rect is
-  /// spliced out of it. Any crop whose target cells sit one cell inside it
-  /// (or on the image border) sees the pixels the full image does -- and,
-  /// since a crop keeps its level origin, the Parrot codes them alike --
-  /// so the refreshed cells are bitwise-identical to a full-image cellGrid
-  /// either way. `grid` must have the exact geometry
-  /// cellGrid(image) would produce.
+  /// gradient stencil reads 1 px beyond the cell) into a crop, and crops
+  /// are merged pairwise: two become their bounding crop whenever that
+  /// costs no more cells than the two apart, so rects covering almost a
+  /// whole level become one whole-level crop and far-apart rects keep
+  /// their own. Each crop runs through the backend's own (virtual)
+  /// cellGrid, and the rects inside it are spliced back. Any crop whose
+  /// target cells sit one cell inside it (or on the image border) sees the
+  /// pixels the full image does -- and, since a crop keeps its level
+  /// origin, the Parrot codes them alike -- so the refreshed cells are
+  /// bitwise-identical to a full-image cellGrid. `grid` must have the
+  /// exact geometry cellGrid(image) would produce.
   ///
   /// Each recomputed cell is compared bitwise (memcmp, so -0.0f and NaN
   /// payloads count as changes) with the cached histogram before it is
   /// spliced in. `changed` is reset to a cellsY x cellsX row-major mask
   /// holding 1 exactly for the cells whose bits changed -- what
   /// updateBlocks and the detector's window rescoring consume. Returns the
-  /// number of target cells recomputed; on failure the grid and mask
-  /// contents are unspecified and the caller should fall back to a full
-  /// recompute.
+  /// number of target cells recomputed (context cells not counted); on
+  /// failure the grid and mask contents are unspecified and the caller
+  /// should fall back to a full recompute.
   StatusOr<long> tryUpdateCellGrid(const vision::Image& image,
                                    const std::vector<CellRect>& dirty,
                                    hog::CellGrid& grid,

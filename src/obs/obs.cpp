@@ -130,7 +130,6 @@ struct ExportConfig {
   std::string tracePath;
   std::string metricsPath;
   std::string flightPath;
-  int metricsPeriodMs = 0;
 
   static ExportConfig& instance() {
     static ExportConfig* config = new ExportConfig();
@@ -186,7 +185,6 @@ void configureFromEnv() {
     config.tracePath = masterOn ? trace : "";
     config.metricsPath = masterOn ? metrics : "";
     config.flightPath = masterOn ? flight : "";
-    config.metricsPeriodMs = config.metricsPath.empty() ? 0 : periodMs;
     anyConfigured = !config.tracePath.empty() ||
                     !config.metricsPath.empty() ||
                     !config.flightPath.empty();
@@ -222,12 +220,6 @@ std::string configuredFlightPath() {
   auto& config = ExportConfig::instance();
   std::lock_guard<std::mutex> lock(config.mutex);
   return config.flightPath;
-}
-
-int configuredMetricsPeriodMs() {
-  auto& config = ExportConfig::instance();
-  std::lock_guard<std::mutex> lock(config.mutex);
-  return config.metricsPeriodMs;
 }
 
 // --------------------------------------------------------------------------

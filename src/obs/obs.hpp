@@ -82,8 +82,6 @@ void configureFromEnv();
 std::string configuredTracePath();
 std::string configuredMetricsPath();
 std::string configuredFlightPath();
-/// Streaming period (ms) from PCNN_METRICS_PERIOD_MS; 0 = exit-time only.
-int configuredMetricsPeriodMs();
 
 /// Microseconds since process start (steady clock).
 double nowMicros();

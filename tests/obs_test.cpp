@@ -547,7 +547,6 @@ TEST(ObsExporter, PeriodicNdjsonStreamThroughEnv) {
   ::unsetenv("PCNN_OBS");
   obs::configureFromEnv();
   EXPECT_TRUE(obs::metricsExporterRunning());
-  EXPECT_EQ(obs::configuredMetricsPeriodMs(), 20);
 
   obs::Counter& c = obs::counter("test.stream_counter");
   const auto deadline =

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -535,8 +537,8 @@ long windowsOverChangedCells(extract::FeatureExtractor& extractor,
 // A warm frame rescores exactly the windows over cells whose histogram
 // bits changed -- not every window over a dirty tile -- and still equals
 // detect(). The 324-px pair changes only pixels right of the last whole
-// cell: a dirty tile whose recomputed cells all keep their bits, so no
-// window is rescored.
+// cell's support: its scene tile is dirty, but no cell is recomputed and
+// no window is rescored.
 TEST(DetectBatch, RescoresOnlyWindowsOverChangedCells) {
   constexpr int kLevels = 3;
   SyntheticVideo video(smallVideo(2, 31));
@@ -578,7 +580,7 @@ TEST(DetectBatch, RescoresOnlyWindowsOverChangedCells) {
       ASSERT_EQ(edgeBatch.frames.size(), 2u);
       const core::FrameStats& stats = edgeBatch.frames[1].stats;
       EXPECT_FALSE(stats.fullRecompute) << backend;
-      EXPECT_GT(stats.tilesRecomputed, 0) << backend;
+      EXPECT_EQ(stats.tilesRecomputed, 0) << backend;
       EXPECT_EQ(stats.windowsRescored, 0) << backend;
       EXPECT_GT(stats.windowsReused, 0) << backend;
       expectSameDetections(edgeBatch.frames[1].detections,
@@ -586,6 +588,159 @@ TEST(DetectBatch, RescoresOnlyWindowsOverChangedCells) {
     }
   }
   setThreadCount(restoreThreads);
+}
+
+/// Brute-force count of the cells a warm frame must recompute: per level
+/// of the detector's pyramid, the cells whose support -- their pixels plus
+/// a 1-px border -- holds a pixel that differs bitwise between the cold
+/// levels of `prev` and `next`.
+long cellsWithChangedSupport(const extract::FeatureExtractor& extractor,
+                             const Image& prev, const Image& next,
+                             int maxLevels) {
+  vision::PyramidParams pp;
+  pp.maxLevels = maxLevels;
+  pp.minWidth = extractor.windowCellsX() * extractor.cellSize();
+  pp.minHeight = extractor.windowCellsY() * extractor.cellSize();
+  const auto before = vision::buildPyramid(prev, pp);
+  const auto after = vision::buildPyramid(next, pp);
+  EXPECT_EQ(before.size(), after.size());
+  const int cell = extractor.cellSize();
+  long count = 0;
+  for (std::size_t li = 0; li < before.size(); ++li) {
+    const Image& a = before[li].image;
+    const Image& b = after[li].image;
+    auto differs = [&](int x, int y) {
+      const float va = a.at(x, y);
+      const float vb = b.at(x, y);
+      return std::memcmp(&va, &vb, sizeof(float)) != 0;
+    };
+    for (int cy = 0; cy < a.height() / cell; ++cy) {
+      for (int cx = 0; cx < a.width() / cell; ++cx) {
+        bool changed = false;
+        for (int y = std::max(0, cy * cell - 1);
+             !changed && y <= std::min(a.height() - 1, cy * cell + cell);
+             ++y) {
+          for (int x = std::max(0, cx * cell - 1);
+               !changed && x <= std::min(a.width() - 1, cx * cell + cell);
+               ++x) {
+            changed = differs(x, y);
+          }
+        }
+        count += changed ? 1 : 0;
+      }
+    }
+  }
+  return count;
+}
+
+// A warm frame recomputes exactly the cells whose support holds a level
+// pixel that changed bitwise -- not every cell under a dirty tile -- and
+// still equals detect(). The 324-px pair changes only column 322, right
+// of every cell's support at every level: no cell is recomputed.
+TEST(DetectBatch, WarmFrameRecomputesExactlyTheSupportChangedCells) {
+  constexpr int kLevels = 3;
+  SyntheticVideo video(smallVideo(2, 31));
+  std::vector<Image> frames;
+  for (int f = 0; f < 4; ++f) frames.push_back(video.frame(f).image);
+  VideoParams wide = smallVideo(0, 5);
+  wide.width = 324;
+  const Image edge = SyntheticVideo(wide).frame(0).image;
+  Image edgeMoved = edge;
+  for (int y = 0; y < edge.height(); ++y) {
+    edgeMoved.at(322, y) = 1.0f - edge.at(322, y);
+  }
+  const int restoreThreads = threadCount();
+  for (const char* backend : {"hog", "parrot:exact"}) {
+    auto oracle =
+        extract::makeExtractor(backend, extract::FeatureLayout::kBlockNorm);
+    EXPECT_EQ(cellsWithChangedSupport(*oracle, edge, edgeMoved, kLevels), 0);
+    for (int threads : {1, 4}) {
+      setThreadCount(threads);
+      GridDetector detector = makeDetector(backend, true, false, kLevels);
+      const BatchDetectResult batch = detector.detectBatch(frames);
+      ASSERT_EQ(batch.frames.size(), frames.size());
+      long cells = 0;
+      for (std::size_t f = 1; f < frames.size(); ++f) {
+        const core::FrameStats& stats = batch.frames[f].stats;
+        EXPECT_FALSE(stats.fullRecompute) << backend;
+        EXPECT_EQ(stats.cellsRecomputed,
+                  cellsWithChangedSupport(*oracle, frames[f - 1], frames[f],
+                                          kLevels))
+            << backend << " frame " << f << " threads " << threads;
+        cells += stats.cellsRecomputed;
+        expectSameDetections(batch.frames[f].detections,
+                             detector.detect(frames[f]), backend);
+      }
+      EXPECT_GT(cells, 0) << backend;
+
+      GridDetector edgeDetector = makeDetector(backend, true, false, kLevels);
+      const BatchDetectResult edgeBatch =
+          edgeDetector.detectBatch({edge, edgeMoved});
+      ASSERT_EQ(edgeBatch.frames.size(), 2u);
+      const core::FrameStats& stats = edgeBatch.frames[1].stats;
+      EXPECT_FALSE(stats.fullRecompute) << backend;
+      EXPECT_EQ(stats.cellsRecomputed, 0) << backend;
+      EXPECT_EQ(stats.tilesRecomputed, 0) << backend;
+      expectSameDetections(edgeBatch.frames[1].detections,
+                           edgeDetector.detect(edgeMoved), backend);
+    }
+  }
+  setThreadCount(restoreThreads);
+}
+
+/// Forwards to a wrapped extractor and records the size of every image
+/// cellGrid is called on.
+class CountingExtractor final : public extract::FeatureExtractor {
+ public:
+  explicit CountingExtractor(std::shared_ptr<extract::FeatureExtractor> inner)
+      : FeatureExtractor(inner->name(), inner->layout(), inner->bins(),
+                         inner->windowCellsX(), inner->windowCellsY(),
+                         inner->cellSize()),
+        inner_(std::move(inner)) {}
+
+  hog::CellGrid cellGrid(const Image& image) override {
+    calls.emplace_back(image.width(), image.height());
+    return inner_->cellGrid(image);
+  }
+  extract::ExtractorInfo info() const override { return inner_->info(); }
+
+  std::vector<std::pair<int, int>> calls;  ///< (width, height) per call
+
+ private:
+  std::shared_ptr<extract::FeatureExtractor> inner_;
+};
+
+// A warm frame whose every pixel changed dirties every cell, and each
+// level's refresh stays one whole-level crop: exactly one cellGrid call
+// per level, over the whole level, as on the cold frame.
+TEST(DetectBatch, EveryPixelChangedMakesOneWholeLevelCellGridCall) {
+  constexpr int kLevels = 3;
+  const Image before = SyntheticVideo(smallVideo(2, 31)).frame(0).image;
+  Image after = before;
+  for (int y = 0; y < after.height(); ++y) {
+    for (int x = 0; x < after.width(); ++x) after.at(x, y) += 0.5f;
+  }
+  auto counting = std::make_shared<CountingExtractor>(
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm));
+  GridDetectorParams params;
+  params.scoreThreshold = 2.0f;
+  params.pyramid.maxLevels = kLevels;
+  params.temporal.smooth = false;
+  GridDetector detector(params, counting,
+                        fixedScorer(counting->featureDim()));
+  const BatchDetectResult cold = detector.detectBatch({before});
+  const std::vector<std::pair<int, int>> levels = counting->calls;
+  ASSERT_EQ(levels.size(), static_cast<std::size_t>(kLevels));
+  counting->calls.clear();
+  const BatchDetectResult warm = detector.detectBatch({after});
+  ASSERT_EQ(warm.frames.size(), 1u);
+  EXPECT_EQ(counting->calls, levels);
+  const core::FrameStats& stats = warm.frames[0].stats;
+  EXPECT_FALSE(stats.fullRecompute);
+  EXPECT_EQ(stats.cellsRecomputed, cold.frames[0].stats.cellsRecomputed);
+  EXPECT_EQ(stats.tilesReused, 0);
+  expectSameDetections(warm.frames[0].detections, detector.detect(after),
+                       "hog");
 }
 
 // A window whose scoring threw, or scored NaN, keeps the lost sentinel as
