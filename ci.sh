@@ -174,7 +174,9 @@ echo "bundle smoke: pack + verify + bundle-loaded detection passed"
 # (nonzero detect.resize_px) and keep cached window scores (nonzero
 # detect.windows_reused, so a regression that silently rescores every
 # window fails) -- the temporal path working end to end, not just
-# compiling.
+# compiling. Each frame scores its windows in one job over every pyramid
+# level, so a frame holds at most one detect.scan span (a return to
+# per-level scoring jobs fails here).
 BV_BIN="$(cd "$BUILD_DIR" && pwd)/bench/bench_video"
 PCNN_TRACE="$OBS_DIR/video_trace.json" \
   PCNN_METRICS="$OBS_DIR/video_metrics.json" \
@@ -187,6 +189,13 @@ events = {e["name"] for e in trace["traceEvents"]}
 for name in ("detect.batch", "detect.frame", "detect.blockGrid",
              "detect.resize", *os.environ["SCAN_SPANS"].split()):
     assert name in events, f"missing span {name}: {sorted(events)}"
+scans = [e for e in trace["traceEvents"] if e["name"] == "detect.scan"]
+assert scans, "no detect.scan span"
+for frame in (e for e in trace["traceEvents"] if e["name"] == "detect.frame"):
+    inside = [e for e in scans if e["tid"] == frame["tid"]
+              and frame["ts"] <= e["ts"]
+              and e["ts"] + e["dur"] <= frame["ts"] + frame["dur"]]
+    assert len(inside) <= 1, f"{len(inside)} detect.scan spans in {frame}"
 counters = json.load(open(sys.argv[2]))["counters"]
 assert counters.get("detect.frames", 0) > 0, counters
 assert counters.get("detect.tiles_reused", 0) > 0, counters

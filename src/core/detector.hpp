@@ -214,10 +214,20 @@ class GridDetector {
   /// the per-level hot path never touches the metrics registry lock.
   obs::LatencyHistogram& cellGridUs() const { return *cellGridUs_; }
 
-  /// The one per-level scan: brings `cache` up to date with `frame` --
-  /// reusing what it allows, recomputing the rest, fully on a cold cache
-  /// -- and returns the pre-NMS detections scoring at least `threshold`.
-  /// `deadlineUs` <= 0 means no deadline; `report` may be null.
+  /// Both detectBatch overloads: scans frameAt(0 .. numFrames - 1) in
+  /// order. A returned frame is only read, and must stay alive until the
+  /// next frameAt call.
+  BatchDetectResult runBatch(
+      int numFrames,
+      const std::function<const vision::Image&(int)>& frameAt,
+      const BatchOptions& options, std::vector<DegradationReport>* reports);
+
+  /// The one scan: brings `cache` up to date with `frame` -- reusing what
+  /// it allows, recomputing the rest, fully on a cold cache -- in
+  /// whole-frame stages (scene diff, pixel refresh, per-level cells and
+  /// blocks, one scoring job over every level), and returns the pre-NMS
+  /// detections scoring at least `threshold`. `deadlineUs` <= 0 means no
+  /// deadline; `report` may be null.
   std::vector<vision::Detection> scanFrame(const vision::Image& frame,
                                            TemporalCache& cache,
                                            float threshold,

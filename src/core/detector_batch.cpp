@@ -12,6 +12,14 @@
 // whose cell footprint holds such a cell are rescored. With temporal reuse
 // off, every batch frame runs cold exactly like detect().
 //
+// The scan runs in whole-frame stages, each stage one pool job across all
+// pyramid levels: (a) the scene tile diff, in bands of tile rows (warm
+// frames); (b) the pixel refresh of every live level, one level per task
+// (warm frames); (c) each level's cells and blocks, level by level on the
+// calling thread (extractors may be stateful), where the deadline is
+// checked; (d) one scoring job over every (level, window row) pair that
+// holds a window to score; then detections are emitted in level order.
+//
 // Why the reused scan matches a cold scan bitwise (deterministic
 // backends; see DESIGN.md Section 5g for the full argument):
 //  - resizeBilinearInto refreshes level pixels with the exact per-pixel
@@ -120,9 +128,11 @@ struct GridDetector::TemporalCache {
     bool valid = false;      ///< false -> full recompute next frame
   };
 
-  /// The previous frame, for tile diffing; detectBatch moves each frame
-  /// in after its scan.
+  /// The previous frame, for tile diffing. A warm scan splices the dirty
+  /// tiles of its frame in; after any other scan, detectBatch copies the
+  /// whole frame in.
   vision::Image scene;
+  bool sceneCurrent = false;  ///< the last scan left `scene` equal to its frame
   std::vector<Level> levels;
   bool valid = false;        ///< pyramid geometry initialized and current
   TemporalSmoother smoother;
@@ -138,50 +148,6 @@ GridDetector::~GridDetector() = default;
 void GridDetector::resetTemporalCache() { temporal_.reset(); }
 
 namespace {
-
-/// Scores the level's windows that `selected(wx, wy)` picks into
-/// lc.scores (parallel rows, each row a disjoint slice -- deterministic for
-/// any thread count). A window whose feature assembly or scoring throws,
-/// or whose score is NaN (which no threshold or NMS order can rank), gets
-/// kLostScore and is tallied in `lost`; `scored` counts the picked
-/// windows. A scorer's own -inf is stored as the lowest finite float, so
-/// only a lost window leaves the sentinel that makes a warm frame retry
-/// it.
-void scoreWindows(const extract::FeatureExtractor& extractor,
-                  const WindowScorer& scorer, bool blockPath, auto& lc,
-                  const auto& selected, long& scored, long& lost) {
-  std::vector<long> rowScored(static_cast<std::size_t>(lc.spanY), 0);
-  std::vector<long> rowLost(static_cast<std::size_t>(lc.spanY), 0);
-  parallelFor(0, lc.spanY, [&](long wy) {
-    float* row = lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
-    for (int wx = 0; wx < lc.spanX; ++wx) {
-      if (!selected(wx, static_cast<int>(wy))) continue;
-      ++rowScored[static_cast<std::size_t>(wy)];
-      float score = std::numeric_limits<float>::quiet_NaN();
-      try {
-        const std::vector<float> features =
-            blockPath ? extractor.windowFromBlocks(lc.blocks, wx,
-                                                   static_cast<int>(wy))
-                      : extractor.windowFromGrid(lc.grid, wx,
-                                                 static_cast<int>(wy));
-        score = scorer(features);
-      } catch (const std::exception&) {
-        // One window's feature assembly or scoring failing loses that
-        // window only (its score stays NaN); the rest of the row keeps
-        // scanning.
-      }
-      if (std::isnan(score)) {
-        row[wx] = kLostScore;
-        ++rowLost[static_cast<std::size_t>(wy)];
-      } else {
-        row[wx] = score == kLostScore ? std::numeric_limits<float>::lowest()
-                                      : score;
-      }
-    }
-  });
-  for (long n : rowScored) scored += n;
-  for (long n : rowLost) lost += n;
-}
 
 /// Appends the level's windows scoring at least `threshold` in row-major
 /// order -- the same order on cold and warm frames, which is what keeps the
@@ -210,10 +176,12 @@ void emitLevelDetections(const auto& lc,
   }
 }
 
-/// Diffs two same-sized frames at tile granularity. Whole rows are
-/// compared first (one memcmp per row -- almost every row of a
-/// mostly-static scene is untouched); only rows that differ get per-tile
-/// segment checks. Returns the dirty bitmap (tilesY x tilesX, row-major).
+/// Diffs two same-sized frames at tile granularity, one pool chunk per row
+/// of tiles: each chunk reads its own band of pixel rows and writes only
+/// its own row of the dirty bitmap. Whole rows are compared first (one
+/// memcmp per row -- almost every row of a mostly-static scene is
+/// untouched); only rows that differ get per-tile segment checks. Returns
+/// the dirty bitmap (tilesY x tilesX, row-major).
 std::vector<std::uint8_t> diffSceneTiles(const vision::Image& prev,
                                          const vision::Image& next,
                                          int tilePx, int tilesX, int tilesY) {
@@ -223,26 +191,29 @@ std::vector<std::uint8_t> diffSceneTiles(const vision::Image& prev,
   const int h = prev.height();
   const float* a = prev.data().data();
   const float* b = next.data().data();
-  for (int y = 0; y < h; ++y) {
-    const float* ra = a + static_cast<std::size_t>(y) * w;
-    const float* rb = b + static_cast<std::size_t>(y) * w;
-    if (std::memcmp(ra, rb, sizeof(float) * static_cast<std::size_t>(w)) ==
-        0) {
-      continue;
-    }
+  parallelFor(0, tilesY, [&](long ty) {
     std::uint8_t* tileRow =
-        dirty.data() + static_cast<std::size_t>(y / tilePx) * tilesX;
-    for (int tx = 0; tx < tilesX; ++tx) {
-      if (tileRow[tx]) continue;
-      const int x0 = tx * tilePx;
-      const int x1 = x0 + tilePx < w ? x0 + tilePx : w;
-      if (std::memcmp(ra + x0, rb + x0,
-                      sizeof(float) * static_cast<std::size_t>(x1 - x0)) !=
+        dirty.data() + static_cast<std::size_t>(ty) * tilesX;
+    const int yEnd = std::min(h, static_cast<int>(ty + 1) * tilePx);
+    for (int y = static_cast<int>(ty) * tilePx; y < yEnd; ++y) {
+      const float* ra = a + static_cast<std::size_t>(y) * w;
+      const float* rb = b + static_cast<std::size_t>(y) * w;
+      if (std::memcmp(ra, rb, sizeof(float) * static_cast<std::size_t>(w)) ==
           0) {
-        tileRow[tx] = 1;
+        continue;
+      }
+      for (int tx = 0; tx < tilesX; ++tx) {
+        if (tileRow[tx]) continue;
+        const int x0 = tx * tilePx;
+        const int x1 = x0 + tilePx < w ? x0 + tilePx : w;
+        if (std::memcmp(ra + x0, rb + x0,
+                        sizeof(float) * static_cast<std::size_t>(x1 - x0)) !=
+            0) {
+          tileRow[tx] = 1;
+        }
       }
     }
-  }
+  });
   return dirty;
 }
 
@@ -394,6 +365,177 @@ long tilesHolding(const std::vector<extract::CellRect>& rects,
   return count;
 }
 
+/// One pyramid level's share of a frame's scan, filled in stage by stage.
+struct LevelPass {
+  int cellsX = 0;
+  int cellsY = 0;
+  long tiles = 0;    ///< kTileCells x kTileCells tiles of the cell grid
+  long windows = 0;  ///< spanX * spanY; 0 when no window fits the level
+  /// Still in the scan: not shed, abandoned past the deadline or degraded.
+  bool live = false;
+  bool fullCompute = false;  ///< no valid cache: every cell and window
+  long refreshedPx = 0;      ///< level pixels refreshed from the frame
+  /// Warm valid level: the cells whose support holds a changed pixel, as
+  /// rects (dirtyCellRects), and the tiles holding one.
+  std::vector<extract::CellRect> dirtyRects;
+  long dirtyTiles = 0;
+  /// The cells whose histogram bits changed (tryUpdateCellGrid).
+  std::vector<std::uint8_t> changed;
+  /// 2-D prefix sum over `changed`, (cellsY + 1) x (cellsX + 1); empty
+  /// when no cell changed.
+  std::vector<int> prefix;
+  long cells = 0;
+  long rescored = 0;
+  long lost = 0;
+};
+
+/// One window row of one level, the unit of the frame's scoring job.
+struct ScanRow {
+  int level = 0;
+  int wy = 0;
+};
+
+/// Brings a level's pixels up to date with the live frame. A level without
+/// a valid cache is refreshed whole (resizeBilinearInto over the full rect
+/// reproduces buildPyramid's resize bit for bit; level 0 is a verbatim
+/// copy). A valid level is refreshed under the dirty scene rects only,
+/// each refreshed pixel compared with the cached one, so that
+/// `p.dirtyRects` covers exactly the cells whose support holds a changed
+/// pixel. Writes only the level's own image and its own pass.
+void refreshLevel(const vision::Image& frame,
+                  const std::vector<PxRect>& sceneDirty, bool verbatim,
+                  int cell, auto& lc, LevelPass& p) {
+  if (!lc.valid) {
+    p.refreshedPx = static_cast<long>(lc.image.data().size());
+    if (verbatim) {
+      std::memcpy(lc.image.data().data(), frame.data().data(),
+                  sizeof(float) * frame.data().size());
+    } else {
+      vision::resizeBilinearInto(frame, lc.image, 0, 0, lc.image.width(),
+                                 lc.image.height());
+    }
+    return;
+  }
+  std::vector<std::uint8_t> dirtyCells(
+      static_cast<std::size_t>(p.cellsX) * p.cellsY, 0);
+  std::vector<float> cached;  // a rect's pixels before the refresh
+  for (const PxRect& sceneRect : sceneDirty) {
+    PxRect r;
+    if (verbatim) {
+      // Level 0 is a verbatim copy of the scene: diff and splice the rows.
+      r = sceneRect;
+      const float* src = frame.data().data();
+      for (int y = r.y0; y < r.y1; ++y) {
+        float* dst = &lc.image.at(r.x0, y);
+        const float* row =
+            src + static_cast<std::size_t>(y) * frame.width() + r.x0;
+        if (flagChangedSupport(dst, row, y, r.x0, r.x1, cell, p.cellsX,
+                               p.cellsY, dirtyCells)) {
+          std::memcpy(dst, row,
+                      sizeof(float) * static_cast<std::size_t>(r.x1 - r.x0));
+        }
+      }
+    } else {
+      r = mapRectToLevel(sceneRect, frame, lc.image);
+      if (r.x0 >= r.x1 || r.y0 >= r.y1) continue;
+      const std::size_t rw = static_cast<std::size_t>(r.x1 - r.x0);
+      cached.resize(rw * static_cast<std::size_t>(r.y1 - r.y0));
+      for (int y = r.y0; y < r.y1; ++y) {
+        std::memcpy(cached.data() + (y - r.y0) * rw, &lc.image.at(r.x0, y),
+                    sizeof(float) * rw);
+      }
+      vision::resizeBilinearInto(frame, lc.image, r.x0, r.y0, r.x1, r.y1);
+      for (int y = r.y0; y < r.y1; ++y) {
+        flagChangedSupport(cached.data() + (y - r.y0) * rw,
+                           &lc.image.at(r.x0, y), y, r.x0, r.x1, cell,
+                           p.cellsX, p.cellsY, dirtyCells);
+      }
+    }
+    p.refreshedPx += static_cast<long>(r.x1 - r.x0) * (r.y1 - r.y0);
+  }
+  p.dirtyRects = dirtyCellRects(dirtyCells, p.cellsX, p.cellsY);
+  p.dirtyTiles = tilesHolding(p.dirtyRects, ceilDiv(p.cellsX, kTileCells),
+                              ceilDiv(p.cellsY, kTileCells));
+}
+
+/// Scores the stale windows of `rows` -- (level, window row) pairs across
+/// the whole pyramid -- as one pool job. A window is stale when its cached
+/// score is the lost sentinel (as every window of a level computed in full
+/// starts out) or its cell footprint holds a changed cell, answered in
+/// O(1) from the level's prefix sum. Every window writes only its own
+/// score slot, so the scores are the same for any thread count or
+/// chunking. A window whose feature assembly or scoring throws, or whose
+/// score is NaN (which no threshold or NMS order can rank), gets
+/// kLostScore and is tallied in its level's `lost`. A scorer's own -inf is
+/// stored as the lowest finite float, so only a lost window leaves the
+/// sentinel that makes a warm frame retry it. Each chunk assembles its
+/// windows' features into one reused buffer.
+void scoreRows(const extract::FeatureExtractor& extractor,
+               const WindowScorer& scorer, bool blockPath,
+               const GridDetectorParams& params, auto& levels,
+               std::vector<LevelPass>& passes,
+               const std::vector<ScanRow>& rows) {
+  std::vector<long> rowScored(rows.size(), 0);
+  std::vector<long> rowLost(rows.size(), 0);
+  const int wcx = params.windowCellsX;
+  const int wcy = params.windowCellsY;
+  parallelForChunked(
+      0, static_cast<long>(rows.size()), 1, [&](long lo, long hi) {
+        std::vector<float> features;
+        for (long i = lo; i < hi; ++i) {
+          const ScanRow& item = rows[static_cast<std::size_t>(i)];
+          auto& lc = levels[static_cast<std::size_t>(item.level)];
+          const LevelPass& p = passes[static_cast<std::size_t>(item.level)];
+          const int wy = item.wy;
+          const std::size_t stride = static_cast<std::size_t>(p.cellsX) + 1;
+          const int* top =
+              p.prefix.empty() ? nullptr : p.prefix.data() + wy * stride;
+          const int* bottom =
+              top == nullptr ? nullptr : top + wcy * stride;
+          float* row = lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
+          long scored = 0;
+          long lost = 0;
+          for (int wx = 0; wx < lc.spanX; ++wx) {
+            const bool stale =
+                row[wx] == kLostScore ||
+                (top != nullptr && bottom[wx + wcx] - top[wx + wcx] -
+                                           bottom[wx] + top[wx] >
+                                       0);
+            if (!stale) continue;
+            ++scored;
+            float score = std::numeric_limits<float>::quiet_NaN();
+            try {
+              if (blockPath) {
+                extractor.windowFromBlocks(lc.blocks, wx, wy, features);
+              } else {
+                extractor.windowFromGrid(lc.grid, wx, wy, features);
+              }
+              score = scorer(features);
+            } catch (const std::exception&) {
+              // One window's feature assembly or scoring failing loses
+              // that window only (its score stays NaN); the rest of the
+              // row keeps scanning.
+            }
+            if (std::isnan(score)) {
+              row[wx] = kLostScore;
+              ++lost;
+            } else {
+              row[wx] = score == kLostScore
+                            ? std::numeric_limits<float>::lowest()
+                            : score;
+            }
+          }
+          rowScored[static_cast<std::size_t>(i)] = scored;
+          rowLost[static_cast<std::size_t>(i)] = lost;
+        }
+      });
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    LevelPass& p = passes[static_cast<std::size_t>(rows[i].level)];
+    p.rescored += rowScored[i];
+    p.lost += rowLost[i];
+  }
+}
+
 }  // namespace
 
 
@@ -412,16 +554,29 @@ std::vector<vision::Detection> GridDetector::detectRaw(
 BatchDetectResult GridDetector::detectBatch(
     const std::vector<vision::Image>& frames, const BatchOptions& options,
     std::vector<DegradationReport>* reports) {
-  return detectBatch(static_cast<int>(frames.size()),
-                     [&frames](int index) {
-                       return frames[static_cast<std::size_t>(index)];
-                     },
-                     options, reports);
+  return runBatch(static_cast<int>(frames.size()),
+                  [&frames](int index) -> const vision::Image& {
+                    return frames[static_cast<std::size_t>(index)];
+                  },
+                  options, reports);
 }
 
 BatchDetectResult GridDetector::detectBatch(
     int numFrames, const FrameProvider& frames, const BatchOptions& options,
     std::vector<DegradationReport>* reports) {
+  vision::Image current;  // the provider's frame being scanned
+  return runBatch(numFrames,
+                  [&](int index) -> const vision::Image& {
+                    current = frames(index);
+                    return current;
+                  },
+                  options, reports);
+}
+
+BatchDetectResult GridDetector::runBatch(
+    int numFrames,
+    const std::function<const vision::Image&(int)>& frameAt,
+    const BatchOptions& options, std::vector<DegradationReport>* reports) {
   PCNN_SPAN_ARG("detect.batch", "frames", numFrames);
   ScanMetrics& metrics = ScanMetrics::instance();
   const bool temporalOn = params_.temporal.enabled;
@@ -436,7 +591,7 @@ BatchDetectResult GridDetector::detectBatch(
   }
   if (temporalOn && !temporal_) temporal_.reset(new TemporalCache);
   for (int f = 0; f < numFrames; ++f) {
-    vision::Image frame = frames(f);
+    const vision::Image& frame = frameAt(f);
     PCNN_SPAN_ARG("detect.frame", "frame", f);
     metrics.frames.add();
     const bool measure = obs::metricsEnabled();
@@ -454,7 +609,10 @@ BatchDetectResult GridDetector::detectBatch(
     std::vector<vision::Detection> raw = scanFrame(
         frame, cache, threshold, options.detect, deadlineUs, fr.stats, report);
     // The next frame diffs against this one; a cold cache keeps nothing.
-    if (temporalOn) cache.scene = std::move(frame);
+    // A warm scan has already spliced the frame's dirty tiles in.
+    // Copy-assigning reuses the cached scene's buffer when it is large
+    // enough, as it is for every frame of a fixed-size stream.
+    if (temporalOn && !cache.sceneCurrent) cache.scene = frame;
     {
       PCNN_SPAN_ARG("detect.nms", "candidates", raw.size());
       fr.detections =
@@ -498,6 +656,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
   // Valid again only once the scan completes: a scan that throws leaves
   // levels half refreshed, and the next frame must then start cold.
   cache.valid = false;
+  cache.sceneCurrent = false;
   if (cold) {
     cache.levels.clear();
     vision::PyramidParams pp = params_.pyramid;
@@ -518,58 +677,108 @@ std::vector<vision::Detection> GridDetector::scanFrame(
     stats.fullRecompute = true;
   }
 
-  // Tile-granular scene diff (warm frames only).
-  std::vector<PxRect> sceneDirty;
-  if (!cold) {
-    const int tilesX = ceilDiv(frame.width(), tilePx);
-    const int tilesY = ceilDiv(frame.height(), tilePx);
-    const std::vector<std::uint8_t> dirtyTiles =
-        diffSceneTiles(cache.scene, frame, tilePx, tilesX, tilesY);
-    sceneDirty = dirtyTileRuns(dirtyTiles, tilePx, tilesX, tilesY,
-                               frame.width(), frame.height());
-  }
-
-  long levelIndex = -1;
-  bool abandoned = false;  // the frame deadline passed mid-frame
-  for (TemporalCache::Level& lc : cache.levels) {
-    ++levelIndex;
-    PCNN_SPAN_ARG("detect.level", "level", levelIndex);
-    const int cellsX = lc.image.width() / cell;
-    const int cellsY = lc.image.height() / cell;
-    const int tilesAcross = ceilDiv(cellsX, kTileCells);
-    const int tilesDown = ceilDiv(cellsY, kTileCells);
-    const long levelTiles = static_cast<long>(tilesAcross) * tilesDown;
-    lc.spanX = cellsX - params_.windowCellsX + 1;
-    lc.spanY = cellsY - params_.windowCellsY + 1;
+  // Level geometry. Deliberate shedding (the serving ladder's
+  // coarser-pyramid rung: the finest levels are the most expensive and go
+  // first) is attributed up front, so the caller sees exactly what
+  // quality was traded away. A shed level's cached grid goes stale against
+  // the live stream, so it is invalidated and rebuilds from the current
+  // frame when the ladder re-enables it.
+  std::vector<LevelPass> passes(cache.levels.size());
+  for (std::size_t li = 0; li < cache.levels.size(); ++li) {
+    TemporalCache::Level& lc = cache.levels[li];
+    LevelPass& p = passes[li];
+    p.cellsX = lc.image.width() / cell;
+    p.cellsY = lc.image.height() / cell;
+    p.tiles = static_cast<long>(ceilDiv(p.cellsX, kTileCells)) *
+              ceilDiv(p.cellsY, kTileCells);
+    lc.spanX = p.cellsX - params_.windowCellsX + 1;
+    lc.spanY = p.cellsY - params_.windowCellsY + 1;
     if (lc.spanX <= 0 || lc.spanY <= 0) continue;
-    const long levelWindows =
-        static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
-
-    // Deliberate shedding (the serving ladder's coarser-pyramid rung: the
-    // finest levels are the most expensive and go first) and deadline
-    // abandonment (once the hook fires, every remaining level is given up;
-    // detections from completed levels survive). Both are attributed so
-    // the caller sees exactly what quality was traded away. A skipped
-    // level's cached grid goes stale against the live stream, so it is
-    // invalidated and rebuilds from the current frame when the ladder
-    // re-enables it.
-    if (levelIndex < options.skipFinestLevels) {
+    p.windows = static_cast<long>(lc.spanX) * static_cast<long>(lc.spanY);
+    if (static_cast<long>(li) < options.skipFinestLevels) {
       metrics.levelsShed.add();
       lc.valid = false;
       if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindows,
+        report->addSkip(static_cast<int>(li), p.windows,
                         Status::Unavailable("detect: level shed by caller"));
       }
       continue;
     }
+    p.live = true;
+    p.fullCompute = !lc.valid;
+  }
+
+  // Deadline abandonment: once the deadline has passed, every level not
+  // yet through its cell stage is given up; detections from the levels
+  // that were survive. A frame already late refreshes nothing.
+  bool abandoned = deadlineUs > 0.0 && obs::nowMicros() > deadlineUs;
+
+  // Stage (a), warm frames only: the tile-granular scene diff, which
+  // chooses the level pixels to refresh. Stage (b): one pool job
+  // refreshes every live level's pixels, each level writing only its own
+  // image and pass.
+  if (!cold && !abandoned) {
+    std::vector<PxRect> sceneDirty;
+    {
+      PCNN_SPAN("detect.diff");
+      const int tilesX = ceilDiv(frame.width(), tilePx);
+      const int tilesY = ceilDiv(frame.height(), tilePx);
+      const std::vector<std::uint8_t> dirtyTiles =
+          diffSceneTiles(cache.scene, frame, tilePx, tilesX, tilesY);
+      sceneDirty = dirtyTileRuns(dirtyTiles, tilePx, tilesX, tilesY,
+                                 frame.width(), frame.height());
+      // Every pixel outside the dirty tiles is already bitwise equal to
+      // the frame's, so splicing the dirty tiles in makes `scene` the
+      // frame the next one diffs against.
+      for (const PxRect& r : sceneDirty) {
+        for (int y = r.y0; y < r.y1; ++y) {
+          std::memcpy(&cache.scene.at(r.x0, y),
+                      frame.data().data() +
+                          static_cast<std::size_t>(y) * frame.width() + r.x0,
+                      sizeof(float) * static_cast<std::size_t>(r.x1 - r.x0));
+        }
+      }
+      cache.sceneCurrent = true;
+    }
+    std::vector<std::size_t> refresh;
+    for (std::size_t li = 0; li < passes.size(); ++li) {
+      if (passes[li].live &&
+          (passes[li].fullCompute || !sceneDirty.empty())) {
+        refresh.push_back(li);
+      }
+    }
+    if (!refresh.empty()) {
+      PCNN_SPAN_ARG("detect.resize", "levels", refresh.size());
+      parallelFor(0, static_cast<long>(refresh.size()), [&](long i) {
+        const std::size_t li = refresh[static_cast<std::size_t>(i)];
+        refreshLevel(frame, sceneDirty, li == 0, cell, cache.levels[li],
+                     passes[li]);
+      });
+      long refreshedPx = 0;
+      for (std::size_t li : refresh) refreshedPx += passes[li].refreshedPx;
+      metrics.resizePx.add(refreshedPx);
+    }
+  }
+
+  // Stage (c), level by level on the calling thread (extractors may be
+  // stateful): bring each live level's cells and blocks up to date and
+  // queue its window rows that hold a window to score.
+  std::vector<ScanRow> rows;
+  for (std::size_t li = 0; li < cache.levels.size(); ++li) {
+    TemporalCache::Level& lc = cache.levels[li];
+    LevelPass& p = passes[li];
+    if (!p.live) continue;
+    const long levelIndex = static_cast<long>(li);
+    PCNN_SPAN_ARG("detect.level", "level", levelIndex);
     if (!abandoned && deadlineUs > 0.0 && obs::nowMicros() > deadlineUs) {
       abandoned = true;
     }
     if (abandoned) {
       metrics.levelsExpired.add();
       lc.valid = false;
+      p.live = false;
       if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindows,
+        report->addSkip(static_cast<int>(li), p.windows,
                         Status::DeadlineExceeded(
                             "detect: level abandoned past deadline"));
       }
@@ -584,44 +793,22 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       PCNN_SPAN_ARG("detect.level.degraded", "level", levelIndex);
       obs::noteFaultEvent("detect.level.degraded");
       metrics.levelsDegraded.add();
-      metrics.windowsLost.add(levelWindows);
+      metrics.windowsLost.add(p.windows);
       lc.valid = false;
+      p.live = false;
       if (report != nullptr) {
-        report->addSkip(static_cast<int>(levelIndex), levelWindows,
-                        std::move(status));
+        report->addSkip(static_cast<int>(li), p.windows, std::move(status));
       }
     };
 
-    // Bring the level's cells and blocks up to date. On a full compute
-    // every tile is recomputed and every window scored; on an incremental
-    // update `changed` flags the cells whose histogram bits changed.
-    const bool fullCompute = !lc.valid;
-    long dirtyTileCount = levelTiles;
-    long levelCells = fullCompute ? static_cast<long>(cellsX) * cellsY : 0;
-    std::vector<std::uint8_t> changed;
-    if (fullCompute) {
+    if (p.fullCompute) {
       // Full compute: cold cache, or the level was invalidated by a
-      // failed incremental update or a shed/abandoned scan. On a warm
-      // cache the level's pixels are stale (the incremental splice only
-      // runs for valid levels), so refresh the whole level from the live
-      // frame first -- resizeBilinearInto over the full rect reproduces
-      // buildPyramid's resize bit for bit. The grid is extracted once per
-      // level on the calling thread (extractors may be stateful); block-norm
-      // extractors also normalize every block exactly once here, and every
-      // window then slices them.
-      if (!cold) {
-        PCNN_SPAN_ARG("detect.resize", "level", levelIndex);
-        metrics.resizePx.add(static_cast<long>(lc.image.data().size()));
-        if (levelIndex == 0) {
-          std::memcpy(&lc.image.at(0, 0), frame.data().data(),
-                      sizeof(float) *
-                          static_cast<std::size_t>(frame.width()) *
-                          static_cast<std::size_t>(frame.height()));
-        } else {
-          vision::resizeBilinearInto(frame, lc.image, 0, 0,
-                                     lc.image.width(), lc.image.height());
-        }
-      }
+      // failed incremental update or a shed/abandoned scan (stage (b) has
+      // refreshed its pixels whole). The grid is extracted once per
+      // level; block-norm extractors also normalize every block exactly
+      // once here, and every window then slices them.
+      p.dirtyTiles = p.tiles;
+      p.cells = static_cast<long>(p.cellsX) * p.cellsY;
       {
         PCNN_SPAN("detect.cellGrid");
         obs::ScopedTimer timer(cellGridUs());
@@ -643,152 +830,108 @@ std::vector<vision::Detection> GridDetector::scanFrame(
           continue;
         }
       }
-      lc.scores.assign(static_cast<std::size_t>(levelWindows), kLostScore);
+      // Every window starts lost, so the scoring job scores them all.
+      lc.scores.assign(static_cast<std::size_t>(p.windows), kLostScore);
       lc.valid = true;
-    } else {
-      // Incremental: refresh the level's pixels under the dirty scene
-      // rects, comparing each refreshed pixel with the cached one, and
-      // recompute exactly the cells whose support holds a changed pixel.
-      std::vector<std::uint8_t> dirtyCells(
-          static_cast<std::size_t>(cellsX) * cellsY, 0);
-      if (!sceneDirty.empty()) {
-        PCNN_SPAN_ARG("detect.resize", "level", levelIndex);
-        long refreshedPx = 0;
-        std::vector<float> cached;  // a rect's pixels before the refresh
-        for (const PxRect& sceneRect : sceneDirty) {
-          PxRect r;
-          if (levelIndex == 0) {
-            // Level 0 is a verbatim copy of the scene: diff and splice the
-            // rows.
-            r = sceneRect;
-            const float* src = frame.data().data();
-            for (int y = r.y0; y < r.y1; ++y) {
-              float* dst = &lc.image.at(r.x0, y);
-              const float* row =
-                  src + static_cast<std::size_t>(y) * frame.width() + r.x0;
-              if (flagChangedSupport(dst, row, y, r.x0, r.x1, cell, cellsX,
-                                     cellsY, dirtyCells)) {
-                std::memcpy(dst, row,
-                            sizeof(float) *
-                                static_cast<std::size_t>(r.x1 - r.x0));
-              }
-            }
-          } else {
-            r = mapRectToLevel(sceneRect, frame, lc.image);
-            if (r.x0 >= r.x1 || r.y0 >= r.y1) continue;
-            const std::size_t rw = static_cast<std::size_t>(r.x1 - r.x0);
-            cached.resize(rw * static_cast<std::size_t>(r.y1 - r.y0));
-            for (int y = r.y0; y < r.y1; ++y) {
-              std::memcpy(cached.data() + (y - r.y0) * rw,
-                          &lc.image.at(r.x0, y), sizeof(float) * rw);
-            }
-            vision::resizeBilinearInto(frame, lc.image, r.x0, r.y0, r.x1,
-                                       r.y1);
-            for (int y = r.y0; y < r.y1; ++y) {
-              flagChangedSupport(cached.data() + (y - r.y0) * rw,
-                                 &lc.image.at(r.x0, y), y, r.x0, r.x1, cell,
-                                 cellsX, cellsY, dirtyCells);
-            }
-          }
-          refreshedPx += static_cast<long>(r.x1 - r.x0) * (r.y1 - r.y0);
-        }
-        metrics.resizePx.add(refreshedPx);
+      for (int wy = 0; wy < lc.spanY; ++wy) {
+        rows.push_back({static_cast<int>(li), wy});
       }
+      continue;
+    }
 
-      const std::vector<extract::CellRect> cellRects =
-          dirtyCellRects(dirtyCells, cellsX, cellsY);
-      dirtyTileCount = tilesHolding(cellRects, tilesAcross, tilesDown);
-      if (!cellRects.empty()) {
-        {
-          PCNN_SPAN("detect.cellGrid");
-          obs::ScopedTimer timer(cellGridUs());
-          StatusOr<long> updated = featureExtractor_->tryUpdateCellGrid(
-              lc.image, cellRects, lc.grid, changed);
-          if (!updated.ok()) {
-            skipLevel(updated.status());
-            continue;
-          }
-          levelCells = updated.value();
+    // Incremental: recompute exactly the cells whose support holds a
+    // changed pixel; `changed` then flags the cells whose histogram bits
+    // changed.
+    if (!p.dirtyRects.empty()) {
+      {
+        PCNN_SPAN("detect.cellGrid");
+        obs::ScopedTimer timer(cellGridUs());
+        StatusOr<long> updated = featureExtractor_->tryUpdateCellGrid(
+            lc.image, p.dirtyRects, lc.grid, p.changed);
+        if (!updated.ok()) {
+          skipLevel(updated.status());
+          continue;
         }
-        if (blockPath) {
-          PCNN_SPAN("detect.blockGrid");
-          try {
-            featureExtractor_->updateBlocks(lc.grid, changed, lc.blocks);
-          } catch (const std::exception& e) {
-            skipLevel(
-                Status::Internal(std::string("updateBlocks: ") + e.what()));
-            continue;
-          }
+        p.cells = updated.value();
+      }
+      if (blockPath) {
+        PCNN_SPAN("detect.blockGrid");
+        try {
+          featureExtractor_->updateBlocks(lc.grid, p.changed, lc.blocks);
+        } catch (const std::exception& e) {
+          skipLevel(
+              Status::Internal(std::string("updateBlocks: ") + e.what()));
+          continue;
         }
       }
     }
 
-    // Score every window whose cached score may differ from a rescore: all
-    // of them on a full compute. On an incremental update a window is
-    // rescored iff its cell footprint holds a changed cell -- answered in
-    // O(1) by a 2-D prefix sum over the changed-cell mask -- or its cached
-    // score is the lost sentinel, so a window lost on an earlier frame is
-    // retried (and recovers or is counted lost again) on the next one.
-    long rescored = 0;
-    long lost = 0;
-    if (fullCompute) {
-      PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-      scoreWindows(*featureExtractor_, scorer_, blockPath, lc,
-                   [](int, int) { return true; }, rescored, lost);
-    } else {
-      const std::size_t stride = static_cast<std::size_t>(cellsX) + 1;
-      std::vector<int> prefix;
-      if (std::find(changed.begin(), changed.end(), 1) != changed.end()) {
-        prefix.assign(stride * (static_cast<std::size_t>(cellsY) + 1), 0);
-        for (int cy = 0; cy < cellsY; ++cy) {
-          const std::uint8_t* flags =
-              changed.data() + static_cast<std::size_t>(cy) * cellsX;
-          for (int cx = 0; cx < cellsX; ++cx) {
-            prefix[(cy + 1) * stride + cx + 1] =
-                prefix[cy * stride + cx + 1] + prefix[(cy + 1) * stride + cx] -
-                prefix[cy * stride + cx] + flags[cx];
-          }
+    // A window is rescored iff its cell footprint holds a changed cell --
+    // answered in O(1) by a 2-D prefix sum over the changed-cell mask --
+    // or its cached score is the lost sentinel, so a window lost on an
+    // earlier frame is retried (and recovers or is counted lost again) on
+    // the next one. Only the rows holding such a window are queued.
+    const std::size_t stride = static_cast<std::size_t>(p.cellsX) + 1;
+    if (std::find(p.changed.begin(), p.changed.end(), 1) != p.changed.end()) {
+      p.prefix.assign(stride * (static_cast<std::size_t>(p.cellsY) + 1), 0);
+      for (int cy = 0; cy < p.cellsY; ++cy) {
+        const std::uint8_t* flags =
+            p.changed.data() + static_cast<std::size_t>(cy) * p.cellsX;
+        for (int cx = 0; cx < p.cellsX; ++cx) {
+          p.prefix[(cy + 1) * stride + cx + 1] =
+              p.prefix[cy * stride + cx + 1] +
+              p.prefix[(cy + 1) * stride + cx] - p.prefix[cy * stride + cx] +
+              flags[cx];
         }
       }
-      const bool anyLost = std::find(lc.scores.begin(), lc.scores.end(),
-                                     kLostScore) != lc.scores.end();
-      if (!prefix.empty() || anyLost) {
-        PCNN_SPAN_ARG("detect.scan", "windows", levelWindows);
-        const int wcx = params_.windowCellsX;
-        const int wcy = params_.windowCellsY;
-        auto stale = [&](int wx, int wy) {
-          if (lc.scores[static_cast<std::size_t>(wy) * lc.spanX + wx] ==
-              kLostScore) {
-            return true;
-          }
-          return !prefix.empty() &&
-                 prefix[(wy + wcy) * stride + wx + wcx] -
-                         prefix[wy * stride + wx + wcx] -
-                         prefix[(wy + wcy) * stride + wx] +
-                         prefix[wy * stride + wx] >
-                     0;
-        };
-        scoreWindows(*featureExtractor_, scorer_, blockPath, lc, stale,
-                     rescored, lost);
+    }
+    for (int wy = 0; wy < lc.spanY; ++wy) {
+      // Every changed cell of cell rows wy .. wy + windowCellsY - 1 lies
+      // in some window of window row wy.
+      const bool changedRow =
+          !p.prefix.empty() &&
+          p.prefix[(wy + params_.windowCellsY) * stride + p.cellsX] >
+              p.prefix[wy * stride + p.cellsX];
+      const float* scores =
+          lc.scores.data() + static_cast<std::size_t>(wy) * lc.spanX;
+      if (changedRow ||
+          std::find(scores, scores + lc.spanX, kLostScore) !=
+              scores + lc.spanX) {
+        rows.push_back({static_cast<int>(li), wy});
       }
     }
-    if (lost > 0) {
-      metrics.windowsLost.add(lost);
-      if (report != nullptr) report->windowsLost += lost;
+  }
+
+  // Stage (d): one scoring job over every queued (level, window row).
+  if (!rows.empty()) {
+    PCNN_SPAN_ARG("detect.scan", "rows", rows.size());
+    scoreRows(*featureExtractor_, scorer_, blockPath, params_, cache.levels,
+              passes, rows);
+  }
+
+  // Accounting and detections, in level order: the same row-major level
+  // order on cold and warm frames, which keeps the NMS input identical
+  // between the cached and full paths.
+  for (std::size_t li = 0; li < cache.levels.size(); ++li) {
+    const LevelPass& p = passes[li];
+    if (!p.live) continue;
+    if (p.lost > 0) {
+      metrics.windowsLost.add(p.lost);
+      if (report != nullptr) report->windowsLost += p.lost;
     }
-    stats.tilesRecomputed += dirtyTileCount;
-    stats.tilesReused += levelTiles - dirtyTileCount;
-    stats.cellsRecomputed += levelCells;
-    stats.windowsRescored += rescored;
-    stats.windowsReused += levelWindows - rescored;
-    metrics.tilesRecomputed.add(dirtyTileCount);
-    metrics.tilesReused.add(levelTiles - dirtyTileCount);
-    metrics.cellsRecomputed.add(levelCells);
-    metrics.windowsRescored.add(rescored);
-    metrics.windowsReused.add(levelWindows - rescored);
-    metrics.windowsScanned.add(rescored);
-    metrics.gridCacheHits.add(rescored);
-    emitLevelDetections(lc, params_, threshold, detections);
+    stats.tilesRecomputed += p.dirtyTiles;
+    stats.tilesReused += p.tiles - p.dirtyTiles;
+    stats.cellsRecomputed += p.cells;
+    stats.windowsRescored += p.rescored;
+    stats.windowsReused += p.windows - p.rescored;
+    metrics.tilesRecomputed.add(p.dirtyTiles);
+    metrics.tilesReused.add(p.tiles - p.dirtyTiles);
+    metrics.cellsRecomputed.add(p.cells);
+    metrics.windowsRescored.add(p.rescored);
+    metrics.windowsReused.add(p.windows - p.rescored);
+    metrics.windowsScanned.add(p.rescored);
+    metrics.gridCacheHits.add(p.rescored);
+    emitLevelDetections(cache.levels[li], params_, threshold, detections);
   }
 
   cache.valid = true;

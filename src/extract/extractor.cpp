@@ -177,6 +177,14 @@ int FeatureExtractor::featureDim() const {
 
 std::vector<float> FeatureExtractor::windowFromGrid(const hog::CellGrid& grid,
                                                     int cx0, int cy0) const {
+  std::vector<float> features;
+  windowFromGrid(grid, cx0, cy0, features);
+  return features;
+}
+
+void FeatureExtractor::windowFromGrid(const hog::CellGrid& grid, int cx0,
+                                      int cy0,
+                                      std::vector<float>& features) const {
   if (cx0 < 0 || cy0 < 0 || cx0 + windowCellsX_ > grid.cellsX ||
       cy0 + windowCellsY_ > grid.cellsY) {
     throw std::invalid_argument("windowFromGrid: window exceeds grid");
@@ -184,10 +192,12 @@ std::vector<float> FeatureExtractor::windowFromGrid(const hog::CellGrid& grid,
   if (layout_ == FeatureLayout::kBlockNorm) {
     const int blocksX = windowCellsX_ - kBlockCells + 1;
     const int blocksY = windowCellsY_ - kBlockCells + 1;
-    if (blocksX <= 0 || blocksY <= 0) return {};
+    if (blocksX <= 0 || blocksY <= 0) {
+      features.clear();
+      return;
+    }
     const int blockLen = kBlockCells * kBlockCells * grid.bins;
-    std::vector<float> features(static_cast<std::size_t>(blocksX) * blocksY *
-                                blockLen);
+    features.resize(static_cast<std::size_t>(blocksX) * blocksY * blockLen);
     float* dst = features.data();
     for (int by = 0; by < blocksY; ++by) {
       for (int bx = 0; bx < blocksX; ++bx) {
@@ -195,18 +205,18 @@ std::vector<float> FeatureExtractor::windowFromGrid(const hog::CellGrid& grid,
         dst += blockLen;
       }
     }
-    return features;
+    return;
   }
-  std::vector<float> features;
-  features.reserve(static_cast<std::size_t>(windowCellsX_) * windowCellsY_ *
-                   grid.bins);
+  const std::size_t rowLen = static_cast<std::size_t>(grid.bins);
+  features.resize(static_cast<std::size_t>(windowCellsX_) * windowCellsY_ *
+                  rowLen);
+  float* dst = features.data();
   for (int cy = 0; cy < windowCellsY_; ++cy) {
     for (int cx = 0; cx < windowCellsX_; ++cx) {
-      const float* hist = grid.cell(cx0 + cx, cy0 + cy);
-      features.insert(features.end(), hist, hist + grid.bins);
+      std::memcpy(dst, grid.cell(cx0 + cx, cy0 + cy), sizeof(float) * rowLen);
+      dst += rowLen;
     }
   }
-  return features;
 }
 
 hog::BlockGrid FeatureExtractor::prepareBlocks(
@@ -236,13 +246,24 @@ hog::BlockGrid FeatureExtractor::prepareBlocks(
 
 std::vector<float> FeatureExtractor::windowFromBlocks(
     const hog::BlockGrid& blocks, int cx0, int cy0) const {
+  std::vector<float> features;
+  windowFromBlocks(blocks, cx0, cy0, features);
+  return features;
+}
+
+void FeatureExtractor::windowFromBlocks(const hog::BlockGrid& blocks, int cx0,
+                                        int cy0,
+                                        std::vector<float>& features) const {
   if (layout_ != FeatureLayout::kBlockNorm) {
     throw std::logic_error(
         "windowFromBlocks: only block-norm extractors have a block grid");
   }
   const int wbx = windowCellsX_ - kBlockCells + 1;
   const int wby = windowCellsY_ - kBlockCells + 1;
-  if (wbx <= 0 || wby <= 0) return {};
+  if (wbx <= 0 || wby <= 0) {
+    features.clear();
+    return;
+  }
   if (cx0 < 0 || cy0 < 0 || cx0 + wbx > blocks.blocksX ||
       cy0 + wby > blocks.blocksY) {
     throw std::invalid_argument("windowFromBlocks: window exceeds block grid");
@@ -250,13 +271,12 @@ std::vector<float> FeatureExtractor::windowFromBlocks(
   // With stride 1 the window's blocks are wby contiguous runs of wbx
   // blocks in the level-wide grid: a straight row-wise copy.
   const std::size_t rowLen = static_cast<std::size_t>(wbx) * blocks.blockLen;
-  std::vector<float> features(rowLen * wby);
+  features.resize(rowLen * wby);
   float* dst = features.data();
   for (int by = 0; by < wby; ++by) {
     std::memcpy(dst, blocks.block(cx0, cy0 + by), sizeof(float) * rowLen);
     dst += rowLen;
   }
-  return features;
 }
 
 std::vector<float> FeatureExtractor::windowFeatures(

@@ -159,6 +159,12 @@ class FeatureExtractor {
   /// re-entrant.
   std::vector<float> windowFromGrid(const hog::CellGrid& grid, int cx0,
                                     int cy0) const;
+  /// windowFromGrid into a vector the caller owns, resized to the feature
+  /// length: a scan reuses one buffer across its windows instead of
+  /// allocating one per window. Same bits, same throws (before `features`
+  /// is touched).
+  void windowFromGrid(const hog::CellGrid& grid, int cx0, int cy0,
+                      std::vector<float>& features) const;
 
   /// Precomputes the per-level normalized block grid (kBlockNorm only --
   /// returns an empty grid for kFlatCell, which has no block structure).
@@ -173,6 +179,9 @@ class FeatureExtractor {
   /// for kBlockNorm extractors. Const and re-entrant.
   std::vector<float> windowFromBlocks(const hog::BlockGrid& blocks, int cx0,
                                       int cy0) const;
+  /// windowFromBlocks into a caller-owned buffer, as for windowFromGrid.
+  void windowFromBlocks(const hog::BlockGrid& blocks, int cx0, int cy0,
+                        std::vector<float>& features) const;
 
   /// Features of one standalone window: windowFromGrid(cellGrid(w), 0, 0),
   /// so a window larger than the detection window yields the features of

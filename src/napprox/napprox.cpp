@@ -12,7 +12,8 @@ constexpr float kTwoPi = 6.28318530717958647692f;
 }
 
 NApproxHog::NApproxHog(const NApproxParams& params) : params_(params) {
-  if (params.bins <= 0 || params.cellSize <= 0) {
+  if (params.bins <= 0 || params.bins > Votes::kMaxBins ||
+      params.cellSize <= 0) {
     throw std::invalid_argument("NApproxHog: invalid params");
   }
   cosTable_.resize(static_cast<std::size_t>(params.bins));
@@ -42,8 +43,8 @@ int NApproxHog::bestDirection(float ix, float iy) const {
   return best;
 }
 
-std::vector<int> NApproxHog::voteDirections(float ix, float iy) const {
-  std::vector<int> votes;
+NApproxHog::Votes NApproxHog::voteDirections(float ix, float iy) const {
+  Votes votes;
   const int best = bestDirection(ix, iy);
   if (best < 0) return votes;
   const float bestValue = projection(ix, iy, best);
@@ -51,7 +52,10 @@ std::vector<int> NApproxHog::voteDirections(float ix, float iy) const {
   // (e.g. sin 80 deg vs sin 100 deg) are treated as equal.
   const float cutoff = bestValue - 1e-5f * std::abs(bestValue);
   for (int k = 0; k < params_.bins; ++k) {
-    if (projection(ix, iy, k) >= cutoff) votes.push_back(k);
+    if (projection(ix, iy, k) >= cutoff) {
+      votes.directions[static_cast<std::size_t>(votes.count++)] =
+          static_cast<std::uint8_t>(k);
+    }
   }
   return votes;
 }

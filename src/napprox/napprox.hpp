@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "hog/hog.hpp"
@@ -21,7 +23,7 @@ namespace pcnn::napprox {
 ///    aliasing deliberately ignored (no bilinear interpolation).
 struct NApproxParams {
   int cellSize = 8;
-  int bins = 18;            ///< directions over 0..360 deg
+  int bins = 18;            ///< directions over 0..360 deg (1..64)
   float minMagnitude = 0.04f;  ///< pixels whose best projection is below
                                ///< this cast no vote (maps to the spiking
                                ///< threshold on hardware)
@@ -49,13 +51,24 @@ class NApproxHog {
   /// exposed for tests and Table 1 checks.
   int bestDirection(float ix, float iy) const;
 
+  /// The directions one gradient votes for, in ascending order: a fixed
+  /// buffer of kMaxBins entries (the constructor rejects more bins), so
+  /// the per-pixel histogram loops allocate nothing.
+  struct Votes {
+    static constexpr int kMaxBins = 64;
+    std::array<std::uint8_t, kMaxBins> directions{};
+    int count = 0;
+    const std::uint8_t* begin() const { return directions.data(); }
+    const std::uint8_t* end() const { return directions.data() + count; }
+  };
+
   /// Directions receiving this gradient's vote: every k whose projection
   /// ties the maximum (within float rounding). Gradients along the axes
   /// fall exactly between two of the 18 directions -- e.g. a vertical
   /// gradient projects identically onto 80 and 100 degrees -- and the
   /// hardware's winner-take-all admits all same-tick ties, so the software
   /// models vote the full tie set to match. Empty when below minMagnitude.
-  std::vector<int> voteDirections(float ix, float iy) const;
+  Votes voteDirections(float ix, float iy) const;
 
   /// Projection of (ix, iy) onto direction k -- the paper's magnitude
   /// approximation when k is the winner.

@@ -274,6 +274,129 @@ TEST(BatchOptions, PastDeadlineAbandonsAFrameMidBurst) {
   }
 }
 
+/// Forwards to a wrapped extractor. Once armed with a deadline, its next
+/// cellGrid call -- the first level a frame recomputes cells on, which is
+/// level 0 here -- sleeps until that deadline has passed.
+class DeadlineCrossingExtractor final : public extract::FeatureExtractor {
+ public:
+  explicit DeadlineCrossingExtractor(
+      std::shared_ptr<extract::FeatureExtractor> inner)
+      : FeatureExtractor(inner->name(), inner->layout(), inner->bins(),
+                         inner->windowCellsX(), inner->windowCellsY(),
+                         inner->cellSize()),
+        inner_(std::move(inner)) {}
+
+  void arm(double deadlineUs) { deadlineUs_ = deadlineUs; }
+
+  hog::CellGrid cellGrid(const Image& image) override {
+    if (deadlineUs_ > 0.0) {
+      while (obs::nowMicros() <= deadlineUs_) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      deadlineUs_ = 0.0;
+    }
+    return inner_->cellGrid(image);
+  }
+  extract::ExtractorInfo info() const override { return inner_->info(); }
+
+ private:
+  std::shared_ptr<extract::FeatureExtractor> inner_;
+  double deadlineUs_ = 0.0;
+};
+
+// A deadline that passes while level 0 computes its cells: level 0 passed
+// its deadline check, so its windows are still scored and its detections
+// survive; every later level is abandoned as kDeadlineExceeded with its
+// windows counted lost. Checked on a cold frame and on a warm one, at 1
+// and 4 threads.
+TEST(BatchOptions, DeadlinePassingMidFrameKeepsTheLevelItInterrupted) {
+  constexpr int kLevels = 3;
+  const int restoreThreads = threadCount();
+  const std::vector<Image> frames = {testFrame(320, 240, 3, 0),
+                                     testFrame(320, 240, 3, 1),
+                                     testFrame(320, 240, 3, 2)};
+  auto inner =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
+  GridDetectorParams params;
+  params.scoreThreshold = 2.0f;
+  params.pyramid.maxLevels = kLevels;
+  params.temporal.smooth = false;
+  const core::WindowScorer scorer = instrumentedScorer(inner->featureDim());
+  GridDetectorParams finestOnly = params;
+  finestOnly.pyramid.maxLevels = 1;
+  const GridDetector finest(finestOnly, inner, scorer);
+  const GridDetector full(params, inner, scorer);
+  // Each level's window count, from a frame that sheds every level.
+  core::DegradationReport allShed;
+  core::DetectOptions shedAll;
+  shedAll.skipFinestLevels = kLevels;
+  full.detect(frames[0], shedAll, &allShed);
+  ASSERT_EQ(allShed.skips.size(), static_cast<std::size_t>(kLevels));
+
+  for (int threads : {1, 4}) {
+    setThreadCount(threads);
+    for (bool warm : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " warm=" << warm);
+      auto crossing = std::make_shared<DeadlineCrossingExtractor>(inner);
+      GridDetector detector(params, crossing, scorer);
+      if (warm) detector.detectBatch({frames[0]});
+      const Image& frame = frames[warm ? 1 : 0];
+      // Far enough ahead that level 0 passes its check on a slow
+      // (sanitized) build; level 0's cellGrid then waits the rest out.
+      const double deadlineUs = obs::nowMicros() + 200000.0;
+      crossing->arm(deadlineUs);
+      core::BatchOptions options;
+      options.deadlineUs = {deadlineUs};
+      std::vector<core::DegradationReport> reports;
+      const core::BatchDetectResult result =
+          detector.detectBatch({frame}, options, &reports);
+      ASSERT_EQ(reports.size(), 1u);
+      const core::DegradationReport& report = reports[0];
+
+      const auto expected = finest.detect(frame);
+      ASSERT_FALSE(expected.empty());
+      const auto& got = result.frames[0].detections;
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].score, expected[i].score) << "det " << i;
+        EXPECT_EQ(got[i].box.x, expected[i].box.x) << "det " << i;
+        EXPECT_EQ(got[i].box.y, expected[i].box.y) << "det " << i;
+      }
+      if (!warm) {
+        EXPECT_EQ(result.frames[0].stats.windowsRescored,
+                  allShed.skips[0].windowsLost);
+      } else {
+        EXPECT_GT(result.frames[0].stats.windowsRescored, 0);
+      }
+
+      ASSERT_EQ(report.levelsSkipped, kLevels - 1);
+      ASSERT_EQ(report.skips.size(), static_cast<std::size_t>(kLevels - 1));
+      long lost = 0;
+      for (int k = 1; k < kLevels; ++k) {
+        const core::LevelSkip& skip =
+            report.skips[static_cast<std::size_t>(k - 1)];
+        EXPECT_EQ(skip.level, k);
+        EXPECT_EQ(skip.status.code(), StatusCode::kDeadlineExceeded);
+        EXPECT_EQ(skip.windowsLost,
+                  allShed.skips[static_cast<std::size_t>(k)].windowsLost);
+        EXPECT_GT(skip.windowsLost, 0);
+        lost += skip.windowsLost;
+      }
+      EXPECT_EQ(report.windowsLost, lost);
+
+      // The abandoned levels rebuild on the next frame.
+      const core::BatchDetectResult next = detector.detectBatch({frames[2]});
+      const auto reference = full.detect(frames[2]);
+      ASSERT_EQ(next.frames[0].detections.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(next.frames[0].detections[i].score, reference[i].score);
+      }
+    }
+  }
+  setThreadCount(restoreThreads);
+}
+
 TEST(BatchOptions, TemporalCacheRebuildsAfterShedLevelReenabled) {
   // A level shed on the temporal path must not leave stale cached state
   // behind: frame 2 (nothing shed) must match a never-shed run bitwise.
