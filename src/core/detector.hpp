@@ -63,10 +63,12 @@ struct BatchOptions {
   DetectOptions detect;  ///< applied to every frame of the burst
   /// Absolute per-frame deadlines on the obs::nowMicros() clock. Empty =
   /// no deadlines; 0 for a frame = no deadline for that frame. The
-  /// deadline is checked before every pyramid level: once it has passed,
-  /// that level and every remaining one are abandoned, each recorded as a
-  /// LevelSkip with StatusCode::kDeadlineExceeded. Detections from levels
-  /// that already completed are still returned.
+  /// deadline is checked before every pyramid level's cells and before
+  /// every window row the scan scores outside the first level it scores:
+  /// once it has passed, the level being checked and every remaining one
+  /// are abandoned, each recorded as a LevelSkip with
+  /// StatusCode::kDeadlineExceeded. Detections from levels that already
+  /// completed are still returned.
   std::vector<double> deadlineUs;
 };
 
@@ -227,7 +229,9 @@ class GridDetector {
   /// whole-frame stages (scene diff, pixel refresh, per-level cells and
   /// blocks, one scoring job over every level), and returns the pre-NMS
   /// detections scoring at least `threshold`. `deadlineUs` <= 0 means no
-  /// deadline; `report` may be null.
+  /// deadline; past it, the scan overruns by at most one level's cell
+  /// stage plus the first scored level's windows and one window row per
+  /// pool thread (DESIGN.md Section 5g). `report` may be null.
   std::vector<vision::Detection> scanFrame(const vision::Image& frame,
                                            TemporalCache& cache,
                                            float threshold,

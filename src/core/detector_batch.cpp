@@ -14,11 +14,14 @@
 //
 // The scan runs in whole-frame stages, each stage one pool job across all
 // pyramid levels: (a) the scene tile diff, in bands of tile rows (warm
-// frames); (b) the pixel refresh of every live level, one level per task
-// (warm frames); (c) each level's cells and blocks, level by level on the
-// calling thread (extractors may be stateful), where the deadline is
-// checked; (d) one scoring job over every (level, window row) pair that
-// holds a window to score; then detections are emitted in level order.
+// frames); (b) the pixel refresh of every live level (warm frames):
+// invalidated levels whole in one resize job, then valid levels' dirty
+// rects one level per task; (c) each level's cells and blocks, level by
+// level on the calling thread (extractors may be stateful), where the
+// deadline is checked; (d) one scoring job over every (level, window row)
+// pair that holds a window to score, which skips the rows of every level
+// but the first once the deadline has passed; then detections are emitted
+// in level order.
 //
 // Why the reused scan matches a cold scan bitwise (deterministic
 // backends; see DESIGN.md Section 5g for the full argument):
@@ -395,27 +398,14 @@ struct ScanRow {
   int wy = 0;
 };
 
-/// Brings a level's pixels up to date with the live frame. A level without
-/// a valid cache is refreshed whole (resizeBilinearInto over the full rect
-/// reproduces buildPyramid's resize bit for bit; level 0 is a verbatim
-/// copy). A valid level is refreshed under the dirty scene rects only,
-/// each refreshed pixel compared with the cached one, so that
-/// `p.dirtyRects` covers exactly the cells whose support holds a changed
-/// pixel. Writes only the level's own image and its own pass.
-void refreshLevel(const vision::Image& frame,
-                  const std::vector<PxRect>& sceneDirty, bool verbatim,
-                  int cell, auto& lc, LevelPass& p) {
-  if (!lc.valid) {
-    p.refreshedPx = static_cast<long>(lc.image.data().size());
-    if (verbatim) {
-      std::memcpy(lc.image.data().data(), frame.data().data(),
-                  sizeof(float) * frame.data().size());
-    } else {
-      vision::resizeBilinearInto(frame, lc.image, 0, 0, lc.image.width(),
-                                 lc.image.height());
-    }
-    return;
-  }
+/// Brings a valid level's pixels up to date with the live frame under the
+/// dirty scene rects only, each refreshed pixel compared with the cached
+/// one, so that `p.dirtyRects` covers exactly the cells whose support holds
+/// a changed pixel (level 0, a verbatim copy of the scene, splices rows).
+/// Writes only the level's own image and its own pass.
+void spliceLevel(const vision::Image& frame,
+                 const std::vector<PxRect>& sceneDirty, bool verbatim,
+                 int cell, auto& lc, LevelPass& p) {
   std::vector<std::uint8_t> dirtyCells(
       static_cast<std::size_t>(p.cellsX) * p.cellsY, 0);
   std::vector<float> cached;  // a rect's pixels before the refresh
@@ -470,20 +460,32 @@ void refreshLevel(const vision::Image& frame,
 /// stored as the lowest finite float, so only a lost window leaves the
 /// sentinel that makes a warm frame retry it. Each chunk assembles its
 /// windows' features into one reused buffer.
-void scoreRows(const extract::FeatureExtractor& extractor,
-               const WindowScorer& scorer, bool blockPath,
-               const GridDetectorParams& params, auto& levels,
-               std::vector<LevelPass>& passes,
-               const std::vector<ScanRow>& rows) {
+///
+/// Once `deadlineUs` (> 0) has passed, a row of any level but the first
+/// queued one is skipped unscored. Returns the lowest level with a skipped
+/// row -- the caller abandons it and every later level -- or
+/// levels.size() when none was skipped.
+std::size_t scoreRows(const extract::FeatureExtractor& extractor,
+                      const WindowScorer& scorer, bool blockPath,
+                      const GridDetectorParams& params, auto& levels,
+                      std::vector<LevelPass>& passes,
+                      const std::vector<ScanRow>& rows, double deadlineUs) {
   std::vector<long> rowScored(rows.size(), 0);
   std::vector<long> rowLost(rows.size(), 0);
+  std::vector<std::uint8_t> rowSkipped(rows.size(), 0);
   const int wcx = params.windowCellsX;
   const int wcy = params.windowCellsY;
+  const int firstLevel = rows.front().level;
   parallelForChunked(
       0, static_cast<long>(rows.size()), 1, [&](long lo, long hi) {
         std::vector<float> features;
         for (long i = lo; i < hi; ++i) {
           const ScanRow& item = rows[static_cast<std::size_t>(i)];
+          if (item.level != firstLevel && deadlineUs > 0.0 &&
+              obs::nowMicros() > deadlineUs) {
+            rowSkipped[static_cast<std::size_t>(i)] = 1;
+            continue;
+          }
           auto& lc = levels[static_cast<std::size_t>(item.level)];
           const LevelPass& p = passes[static_cast<std::size_t>(item.level)];
           const int wy = item.wy;
@@ -529,11 +531,14 @@ void scoreRows(const extract::FeatureExtractor& extractor,
           rowLost[static_cast<std::size_t>(i)] = lost;
         }
       });
+  std::size_t expiredFrom = levels.size();
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    LevelPass& p = passes[static_cast<std::size_t>(rows[i].level)];
-    p.rescored += rowScored[i];
-    p.lost += rowLost[i];
+    const auto level = static_cast<std::size_t>(rows[i].level);
+    if (rowSkipped[i]) expiredFrom = std::min(expiredFrom, level);
+    passes[level].rescored += rowScored[i];
+    passes[level].lost += rowLost[i];
   }
+  return expiredFrom;
 }
 
 }  // namespace
@@ -740,25 +745,53 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       }
       cache.sceneCurrent = true;
     }
-    std::vector<std::size_t> refresh;
+    // A live level without a valid cache (shed, abandoned or degraded on
+    // an earlier frame) is refreshed whole: level 0 is a verbatim copy,
+    // and every other such level is resized in one job over all their row
+    // bands, which reproduces buildPyramid's resize bit for bit. Every
+    // valid level splices the dirty rects in, one level per task.
+    std::vector<vision::Image*> whole;
+    std::vector<std::size_t> splice;
+    long refreshedPx = 0;
     for (std::size_t li = 0; li < passes.size(); ++li) {
-      if (passes[li].live &&
-          (passes[li].fullCompute || !sceneDirty.empty())) {
-        refresh.push_back(li);
+      if (!passes[li].live) continue;
+      if (passes[li].fullCompute) {
+        whole.push_back(&cache.levels[li].image);
+        refreshedPx += static_cast<long>(whole.back()->data().size());
+      } else if (!sceneDirty.empty()) {
+        splice.push_back(li);
       }
     }
-    if (!refresh.empty()) {
-      PCNN_SPAN_ARG("detect.resize", "levels", refresh.size());
-      parallelFor(0, static_cast<long>(refresh.size()), [&](long i) {
-        const std::size_t li = refresh[static_cast<std::size_t>(i)];
-        refreshLevel(frame, sceneDirty, li == 0, cell, cache.levels[li],
-                     passes[li]);
+    if (!whole.empty() || !splice.empty()) {
+      PCNN_SPAN_ARG("detect.resize", "levels", whole.size() + splice.size());
+      if (!whole.empty() && whole.front() == &cache.levels[0].image) {
+        std::memcpy(whole.front()->data().data(), frame.data().data(),
+                    sizeof(float) * frame.data().size());
+        whole.erase(whole.begin());
+      }
+      vision::resizeBilinearEach(frame, whole);
+      parallelFor(0, static_cast<long>(splice.size()), [&](long i) {
+        const std::size_t li = splice[static_cast<std::size_t>(i)];
+        spliceLevel(frame, sceneDirty, li == 0, cell, cache.levels[li],
+                    passes[li]);
       });
-      long refreshedPx = 0;
-      for (std::size_t li : refresh) refreshedPx += passes[li].refreshedPx;
+      for (std::size_t li : splice) refreshedPx += passes[li].refreshedPx;
       metrics.resizePx.add(refreshedPx);
     }
   }
+
+  // A level given up past the deadline is invalidated and its windows are
+  // reported lost.
+  auto expire = [&](std::size_t li) {
+    metrics.levelsExpired.add();
+    cache.levels[li].valid = false;
+    passes[li].live = false;
+    if (report != nullptr) {
+      report->addSkip(static_cast<int>(li), passes[li].windows,
+                      Status::DeadlineExceeded(
+                          "detect: level abandoned past deadline"));
+    }
+  };
 
   // Stage (c), level by level on the calling thread (extractors may be
   // stateful): bring each live level's cells and blocks up to date and
@@ -774,14 +807,7 @@ std::vector<vision::Detection> GridDetector::scanFrame(
       abandoned = true;
     }
     if (abandoned) {
-      metrics.levelsExpired.add();
-      lc.valid = false;
-      p.live = false;
-      if (report != nullptr) {
-        report->addSkip(static_cast<int>(li), p.windows,
-                        Status::DeadlineExceeded(
-                            "detect: level abandoned past deadline"));
-      }
+      expire(li);
       continue;
     }
 
@@ -902,11 +928,19 @@ std::vector<vision::Detection> GridDetector::scanFrame(
     }
   }
 
-  // Stage (d): one scoring job over every queued (level, window row).
+  // Stage (d): one scoring job over every queued (level, window row). The
+  // first queued level is always scored whole. Once the deadline passes,
+  // the rows of later levels still queued are skipped, and the first level
+  // that lost a row is abandoned with every level after it, as if the
+  // levels had been scored one after another.
   if (!rows.empty()) {
     PCNN_SPAN_ARG("detect.scan", "rows", rows.size());
-    scoreRows(*featureExtractor_, scorer_, blockPath, params_, cache.levels,
-              passes, rows);
+    const std::size_t expiredFrom =
+        scoreRows(*featureExtractor_, scorer_, blockPath, params_,
+                  cache.levels, passes, rows, deadlineUs);
+    for (std::size_t li = expiredFrom; li < passes.size(); ++li) {
+      if (passes[li].live) expire(li);
+    }
   }
 
   // Accounting and detections, in level order: the same row-major level

@@ -397,6 +397,104 @@ TEST(BatchOptions, DeadlinePassingMidFrameKeepsTheLevelItInterrupted) {
   setThreadCount(restoreThreads);
 }
 
+// A deadline that passes while level 0's windows are being scored: every
+// level is through its cell stage, and all of them share one scoring job.
+// Level 0 is still scored whole; the rows of later levels still queued are
+// skipped, so each later level is abandoned as kDeadlineExceeded with its
+// windows counted lost. At 4 threads each thread's first window sleeps
+// past the deadline, so at most 4 rows (all of level 0's 15) start before
+// it. Checked on a cold frame and on a warm one, at 1 and 4 threads.
+TEST(BatchOptions, DeadlinePassingWhileScoringKeepsOnlyTheFirstLevel) {
+  constexpr int kLevels = 3;
+  const int restoreThreads = threadCount();
+  const std::vector<Image> frames = {testFrame(320, 240, 3, 0),
+                                     testFrame(320, 240, 3, 1),
+                                     testFrame(320, 240, 3, 2)};
+  auto extractor =
+      extract::makeExtractor("hog", extract::FeatureLayout::kBlockNorm);
+  GridDetectorParams params;
+  params.scoreThreshold = 2.0f;
+  params.pyramid.maxLevels = kLevels;
+  params.temporal.smooth = false;
+  const core::WindowScorer scorer =
+      instrumentedScorer(extractor->featureDim());
+  // Sleeps until the armed deadline has passed, then scores as `scorer`.
+  auto armedUs = std::make_shared<std::atomic<double>>(0.0);
+  const core::WindowScorer sleepy = [scorer,
+                                     armedUs](const std::vector<float>& f) {
+    const double until = armedUs->load();
+    while (obs::nowMicros() <= until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return scorer(f);
+  };
+  GridDetectorParams finestOnly = params;
+  finestOnly.pyramid.maxLevels = 1;
+  const GridDetector finest(finestOnly, extractor, scorer);
+  const GridDetector full(params, extractor, scorer);
+  core::DegradationReport allShed;
+  core::DetectOptions shedAll;
+  shedAll.skipFinestLevels = kLevels;
+  full.detect(frames[0], shedAll, &allShed);
+  ASSERT_EQ(allShed.skips.size(), static_cast<std::size_t>(kLevels));
+
+  for (int threads : {1, 4}) {
+    setThreadCount(threads);
+    for (bool warm : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " warm=" << warm);
+      armedUs->store(0.0);
+      GridDetector detector(params, extractor, sleepy);
+      if (warm) detector.detectBatch({frames[0]});
+      const Image& frame = frames[warm ? 1 : 0];
+      // Far enough ahead that every level gets through its cell stage on
+      // a slow (sanitized) build; the first scored window waits it out.
+      const double deadlineUs = obs::nowMicros() + 200000.0;
+      armedUs->store(deadlineUs);
+      core::BatchOptions options;
+      options.deadlineUs = {deadlineUs};
+      std::vector<core::DegradationReport> reports;
+      const core::BatchDetectResult result =
+          detector.detectBatch({frame}, options, &reports);
+      ASSERT_EQ(reports.size(), 1u);
+      const core::DegradationReport& report = reports[0];
+
+      const auto expected = finest.detect(frame);
+      ASSERT_FALSE(expected.empty());
+      const auto& got = result.frames[0].detections;
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].score, expected[i].score) << "det " << i;
+        EXPECT_EQ(got[i].box.x, expected[i].box.x) << "det " << i;
+        EXPECT_EQ(got[i].box.y, expected[i].box.y) << "det " << i;
+      }
+
+      ASSERT_EQ(report.levelsSkipped, kLevels - 1);
+      ASSERT_EQ(report.skips.size(), static_cast<std::size_t>(kLevels - 1));
+      long lost = 0;
+      for (int k = 1; k < kLevels; ++k) {
+        const core::LevelSkip& skip =
+            report.skips[static_cast<std::size_t>(k - 1)];
+        EXPECT_EQ(skip.level, k);
+        EXPECT_EQ(skip.status.code(), StatusCode::kDeadlineExceeded);
+        EXPECT_EQ(skip.windowsLost,
+                  allShed.skips[static_cast<std::size_t>(k)].windowsLost);
+        lost += skip.windowsLost;
+      }
+      EXPECT_EQ(report.windowsLost, lost);
+
+      // The abandoned levels rebuild on the next frame.
+      const core::BatchDetectResult next = detector.detectBatch({frames[2]});
+      const auto reference = full.detect(frames[2]);
+      ASSERT_EQ(next.frames[0].detections.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(next.frames[0].detections[i].score, reference[i].score);
+      }
+    }
+  }
+  setThreadCount(restoreThreads);
+}
+
 TEST(BatchOptions, TemporalCacheRebuildsAfterShedLevelReenabled) {
   // A level shed on the temporal path must not leave stale cached state
   // behind: frame 2 (nothing shed) must match a never-shed run bitwise.
